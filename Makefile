@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench faults chaos-soak overload offload graph graph-check sanitize analyze examples check-all lint typecheck loc
+.PHONY: install test bench perf-smoke faults chaos-soak overload offload graph graph-check sanitize analyze examples check-all lint typecheck loc
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -33,6 +33,18 @@ typecheck:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q -s
+
+perf-smoke:
+	@# the repository benchmark, one short run per workload: fails
+	@# unless every repetition passes its invariant checks and repeats
+	@# its seed's digest exactly (last line reports "correct": true)
+	@for w in fig5-adn fig5-envoy hotel-mesh-3x-crash; do \
+	    last=$$($(PYTHON) perfbench/run.py --workload $$w --seconds 1 \
+	        | tail -n 1); \
+	    echo "$$w: $$last"; \
+	    case "$$last" in *'"correct": true'*) ;; \
+	        *) echo "perf-smoke: $$w is not correct" && exit 1 ;; esac; \
+	done
 
 faults:
 	@# the seeded fault soak (small trial count) plus the end-to-end

@@ -33,13 +33,7 @@ class FieldType(enum.Enum):
 
     @property
     def python_type(self) -> type:
-        return {
-            FieldType.STR: str,
-            FieldType.INT: int,
-            FieldType.FLOAT: float,
-            FieldType.BOOL: bool,
-            FieldType.BYTES: bytes,
-        }[self]
+        return _PYTHON_TYPES[self]
 
     def accepts(self, value: object) -> bool:
         """True when a Python value is a valid instance of this type.
@@ -67,6 +61,15 @@ class FieldType(enum.Enum):
             FieldType.BYTES: (b"\x00payload", b"x", b""),
         }[self]
 
+
+#: the Python type of each field type's values
+_PYTHON_TYPES: Dict[FieldType, type] = {
+    FieldType.STR: str,
+    FieldType.INT: int,
+    FieldType.FLOAT: float,
+    FieldType.BOOL: bool,
+    FieldType.BYTES: bytes,
+}
 
 #: Meta-fields every RPC tuple carries implicitly. Elements may read all of
 #: them and write ``dst`` (request routing) and ``status``.

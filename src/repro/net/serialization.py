@@ -10,7 +10,7 @@ benchmark — are real.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..dsl.schema import FieldType, RpcSchema
 from ..errors import RuntimeFault
@@ -144,13 +144,3 @@ class ProtoCodec:
 
     def encoded_size(self, fields: Dict[str, object]) -> int:
         return len(self.encode(fields))
-
-
-def loc_varint_roundtrip_check(values: List[int]) -> bool:
-    """Helper for property tests: all values round-trip."""
-    for value in values:
-        encoded = encode_varint(zigzag_encode(value))
-        decoded, _ = decode_varint(encoded, 0)
-        if zigzag_decode(decoded) != value:
-            return False
-    return True

@@ -12,8 +12,8 @@ RPC path on the simulated cluster:
 Key fidelity points:
 
 * messages are *really* encoded with the hop's minimal header layout
-  (:class:`~repro.net.wire.AdnWireCodec`) — wire sizes are measured, not
-  assumed;
+  (:class:`~repro.net.wire.AdnWireCodec`), once per wire crossing — wire
+  sizes are that encoding's exact length, not assumed;
 * elements *really* execute (drops, rewrites, state);
 * transport CPU is charged to whoever owns the wire on each side: the
   mRPC engine (default) or the RPC library itself ("proxyless", Figure 2
@@ -442,20 +442,21 @@ class AdnMrpcStack:
 
     # -- helpers ------------------------------------------------------------
 
-    def _transport_cost(
-        self, side: str, message: Row
-    ) -> Tuple[float, float, int]:
-        """(cpu_us, extra_us, wire_bytes) for putting one message on the
-        wire from ``side`` (receive costs are symmetric)."""
+    def _transport_cpu_us(self, message: Row) -> float:
+        """CPU for putting one message on the wire, or taking it off
+        (receive costs are symmetric): set by the hop's layout alone."""
         codec = self._codec_for(message)
-        encoded = codec.encode(message)
-        wire = wire_bytes_for_message(len(encoded))
-        cpu = (
-            self.costs.mrpc_tcp_batched_us
-            + self.costs.header_codec_us(len(codec.layout.fields))
+        return self.costs.mrpc_tcp_batched_us + self.costs.header_codec_us(
+            len(codec.layout.fields)
         )
-        extra = self.costs.mrpc_tcp_unbatched_extra_us
-        return cpu, extra, wire
+
+    def _wire_size(self, message: Row) -> int:
+        """Bytes one message puts on the wire. ``_cross_wire`` adds only
+        fixed-width fields the layout already counts, so the size is
+        known before the one real encode."""
+        return wire_bytes_for_message(
+            self._codec_for(message).encoded_size(message)
+        )
 
     def _cross_wire(
         self, message: Row, deadline_at: Optional[float] = None
@@ -512,9 +513,6 @@ class AdnMrpcStack:
             return None
         return self.sim.now + float(remaining_ms) * 1e-3
 
-    def _use(self, resource: Resource, cpu_us: float) -> Generator:
-        yield from resource.use(cpu_us * US)
-
     def _wire_hop(self, size_bytes: int, hops: int = 1) -> Generator:
         self.wire_bytes_total += size_bytes
         # a latency-spike fault stretches every hop while it is active
@@ -566,13 +564,12 @@ class AdnMrpcStack:
             )
         mirrored = 0
         # client app issues into shared memory
-        yield from self._use(
-            self.client_app,
-            self.costs.client_issue_us + self.costs.mrpc_shm_post_us,
+        yield from self.client_app.use(
+            (self.costs.client_issue_us + self.costs.mrpc_shm_post_us) * US
         )
         # engine picks it up
-        yield from self._use(
-            self._transport["client"], self.costs.mrpc_dispatch_us
+        yield from self._transport["client"].use(
+            self.costs.mrpc_dispatch_us * US
         )
 
         trace: List[Tuple[str, float, float]] = []
@@ -586,8 +583,11 @@ class AdnMrpcStack:
                 not crossed_wire
             ):
                 # leave the client host
-                cpu, extra, wire = self._transport_cost("client", current)
-                yield from self._use(self._transport["client"], cpu)
+                wire = self._wire_size(current)
+                yield from self._transport["client"].use(
+                    self._transport_cpu_us(current) * US
+                )
+                extra = self.costs.mrpc_tcp_unbatched_extra_us
                 if extra:
                     yield self.sim.timeout(extra * US)
                 hop_started = self.sim.now
@@ -602,8 +602,8 @@ class AdnMrpcStack:
             if not processor.live:
                 yield from self._lost(f"crash:{processor.segment.machine}")
             span_started = self.sim.now
-            result = yield self.sim.process(
-                processor.execute("request", current, deadline_at=deadline_at)
+            result = yield from processor.execute(
+                "request", current, deadline_at=deadline_at
             )
             if self.tracing:
                 trace.append(
@@ -624,8 +624,11 @@ class AdnMrpcStack:
 
         if dropped_by is None:
             if not crossed_wire:
-                cpu, extra, wire = self._transport_cost("client", current)
-                yield from self._use(self._transport["client"], cpu)
+                wire = self._wire_size(current)
+                yield from self._transport["client"].use(
+                    self._transport_cpu_us(current) * US
+                )
+                extra = self.costs.mrpc_tcp_unbatched_extra_us
                 if extra:
                     yield self.sim.timeout(extra * US)
                 hop_started = self.sim.now
@@ -645,8 +648,8 @@ class AdnMrpcStack:
             # wakeup shrinks and the dispatch CPU lands on the NIC
             nic = self._nic_rx_processor
             if nic is not None and nic.resource is not None:
-                yield from self._use(
-                    nic.resource, self.costs.nic_rx_dispatch_us
+                yield from nic.resource.use(
+                    self.costs.nic_rx_dispatch_us * US
                 )
                 yield self.sim.timeout(
                     self.costs.nic_rx_wakeup_extra_us * US
@@ -655,8 +658,9 @@ class AdnMrpcStack:
                 yield self.sim.timeout(
                     self.costs.mrpc_rx_wakeup_extra_us * US
                 )
-            cpu, extra, _wire = self._transport_cost("server", current)
-            yield from self._use(self._transport["server"], cpu)
+            yield from self._transport["server"].use(
+                self._transport_cpu_us(current) * US
+            )
             if deadline_at is not None and self.sim.now > deadline_at:
                 # the propagated deadline expired in flight: the caller
                 # has already given up, so answer with a cheap abort
@@ -665,12 +669,12 @@ class AdnMrpcStack:
                 dropped_by = DEADLINE_EXPIRED
                 response = make_abort(current, dropped_by)
             else:
-                yield from self._use(
-                    self._transport["server"], self.costs.mrpc_shm_post_us
+                yield from self._transport["server"].use(
+                    self.costs.mrpc_shm_post_us * US
                 )
                 # decode exactly what the wire carried (fidelity check
                 # lives in tests: the server sees only header-plan fields)
-                yield from self._use(self.server_app, self.costs.app_logic_us)
+                yield from self.server_app.use(self.costs.app_logic_us * US)
                 # at-least-once bookkeeping: with a retry policy, attempts
                 # of one logical RPC share an rpc_id — a retry after the
                 # server already ran (response lost coming back) shows here
@@ -725,12 +729,13 @@ class AdnMrpcStack:
                 returned_wire
                 and processor.segment.machine == self.client_machine
             ):
-                cpu, extra, wire = self._transport_cost("server", response)
+                wire = self._wire_size(response)
                 sender = self._return_wire_resource(
                     dropped_by, dropping_processor
                 )
                 if sender is not None:
-                    yield from self._use(sender, cpu)
+                    yield from sender.use(self._transport_cpu_us(response) * US)
+                extra = self.costs.mrpc_tcp_unbatched_extra_us
                 if extra:
                     yield self.sim.timeout(extra * US)
                 hop_started = self.sim.now
@@ -744,9 +749,7 @@ class AdnMrpcStack:
             if not processor.live:
                 yield from self._lost(f"crash:{processor.segment.machine}")
             span_started = self.sim.now
-            result = yield self.sim.process(
-                processor.execute("response", response)
-            )
+            result = yield from processor.execute("response", response)
             if self.tracing:
                 trace.append(
                     (
@@ -759,12 +762,13 @@ class AdnMrpcStack:
             if result.outputs:
                 response = result.outputs[0]
         if returned_wire:
-            cpu, extra, wire = self._transport_cost("server", response)
+            wire = self._wire_size(response)
             sender = self._return_wire_resource(
                 dropped_by, dropping_processor
             )
             if sender is not None:
-                yield from self._use(sender, cpu)
+                yield from sender.use(self._transport_cpu_us(response) * US)
+            extra = self.costs.mrpc_tcp_unbatched_extra_us
             if extra:
                 yield self.sim.timeout(extra * US)
             hop_started = self.sim.now
@@ -777,15 +781,15 @@ class AdnMrpcStack:
         if crossed_wire:
             # client engine receives the response off the wire
             yield self.sim.timeout(self.costs.mrpc_rx_wakeup_extra_us * US)
-            cpu, _extra, _wire = self._transport_cost("client", response)
-            yield from self._use(self._transport["client"], cpu)
+            yield from self._transport["client"].use(
+                self._transport_cpu_us(response) * US
+            )
         # client engine delivers to the app
-        yield from self._use(
-            self._transport["client"], self.costs.mrpc_dispatch_us
+        yield from self._transport["client"].use(
+            self.costs.mrpc_dispatch_us * US
         )
-        yield from self._use(
-            self.client_app,
-            self.costs.client_complete_us + self.costs.mrpc_shm_post_us,
+        yield from self.client_app.use(
+            (self.costs.client_complete_us + self.costs.mrpc_shm_post_us) * US
         )
         self.mirrored_total += mirrored
         outcome = RpcOutcome(

@@ -15,8 +15,9 @@ and converted at the call site via :data:`US`.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
+from heapq import heappop, heappush
 from typing import Callable, Generator, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -50,7 +51,8 @@ class Event:
             raise SimulationError("event already triggered")
         self.triggered = True
         self.value = value
-        self.sim._schedule_at(self.sim.now, self._fire)
+        sim = self.sim
+        heappush(sim._heap, (sim.now, next(sim._sequence), self._fire))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -81,12 +83,15 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
-        super().__init__(sim)
+        # one comparison rejects negative, NaN and infinite delays alike
+        if not 0.0 <= delay < math.inf:
+            raise SimulationError(
+                f"timeout delay {delay} is not finite and >= 0"
+            )
+        Event.__init__(self, sim)
         self.triggered = True  # scheduled, cannot be re-succeeded
         self.value = value
-        sim._schedule_at(sim.now + delay, self._fire)
+        heappush(sim._heap, (sim.now + delay, next(sim._sequence), self._fire))
 
 
 class Process(Event):
@@ -115,7 +120,10 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield Events"
             )
-        target.add_callback(self._resume)
+        if target.fired:
+            target.add_callback(self._resume)
+        else:
+            target.callbacks.append(self._resume)
 
     def _resume(self, event: Event) -> None:
         self._step(event.value, event.ok)
@@ -175,11 +183,13 @@ class Simulator:
     # -- scheduling ---------------------------------------------------------
 
     def _schedule_at(self, when: float, callback: Callable[[], None]) -> None:
-        if when < self.now - 1e-15:
+        # one comparison rejects the past, NaN and infinity alike: a NaN
+        # in the heap would silently reorder every later event
+        if not self.now - 1e-15 <= when < math.inf:
             raise SimulationError(
                 f"cannot schedule at {when} (now is {self.now})"
             )
-        heapq.heappush(self._heap, (when, next(self._sequence), callback))
+        heappush(self._heap, (when, next(self._sequence), callback))
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -200,12 +210,18 @@ class Simulator:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap drains or simulated time reaches ``until``."""
-        while self._heap:
-            when, _seq, callback = self._heap[0]
-            if until is not None and when > until:
+        heap = self._heap
+        if until is None:
+            while heap:
+                self.now, _seq, callback = heappop(heap)
+                callback()
+            return
+        while heap:
+            when, _seq, callback = heap[0]
+            if when > until:
                 self.now = until
                 return
-            heapq.heappop(self._heap)
+            heappop(heap)
             self.now = when
             callback()
         # when the heap drains before ``until``, time stays at the last

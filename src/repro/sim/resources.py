@@ -69,10 +69,6 @@ class Resource:
         self._capacity_since = sim.now
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def queue_length(self) -> int:
         return len(self._waiters)
 
@@ -140,7 +136,13 @@ class Resource:
         release; accounts busy time."""
         if duration < 0:
             raise SimulationError(f"negative service time {duration}")
-        yield self.request()
+        if self._in_use < self.capacity:
+            # free slot: the zero-wait grant ``request()`` would make,
+            # without an event to fire and wait on
+            self._in_use += 1
+            self._record_grant(0.0)
+        else:
+            yield self.request()
         try:
             if duration > 0:
                 yield self.sim.timeout(duration)

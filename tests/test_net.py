@@ -247,6 +247,125 @@ class TestAdnWire:
         with pytest.raises(RuntimeFault, match="layout mismatch"):
             codec.decode(b"\xff\x00")
 
+    # -- byte-exact format ---------------------------------------------------
+
+    FIXED = {
+        "rpc_id": FieldType.INT,
+        "lat": FieldType.FLOAT,
+        "ok": FieldType.BOOL,
+        "seq": FieldType.INT,
+    }
+    VARIABLE = {"dst": FieldType.STR, "payload": FieldType.BYTES}
+    MIXED = {
+        "rpc_id": FieldType.INT,
+        "obj_id": FieldType.INT,
+        "ok": FieldType.BOOL,
+        "dst": FieldType.STR,
+        "payload": FieldType.BYTES,
+    }
+    #: (layout, fields, hex encoding) recorded from the original
+    #: per-field encoder; the format must never drift from these
+    GOLDEN = [
+        (
+            FIXED,
+            {"rpc_id": 7, "lat": -2.5, "ok": True, "seq": -1},
+            "00c00400000000000001000000000000000702ffffffffffffffff0301",
+        ),
+        (
+            FIXED,
+            {},
+            "0000000000000000000100000000000000000200000000000000000300",
+        ),
+        (
+            FIXED,
+            {"rpc_id": None, "lat": None, "ok": None, "seq": 3},
+            "0000000000000000000100000000000000000200000000000000030300",
+        ),
+        (
+            FIXED,
+            {"rpc_id": True, "lat": 3, "ok": 2, "seq": 2**62},
+            "0040080000000000000100000000000000010240000000000000000301",
+        ),
+        (
+            VARIABLE,
+            {"dst": "B.1", "payload": b"\x00data"},
+            "0003422e3101050064617461",
+        ),
+        (VARIABLE, {}, "00000100"),
+        (VARIABLE, {"dst": None, "payload": None}, "00000100"),
+        (
+            VARIABLE,
+            {"dst": "h\u00e9llo \u4e16\u754c", "payload": b""},
+            "000d68c3a96c6c6f20e4b896e7958c0100",
+        ),
+        (
+            VARIABLE,
+            {"dst": "x" * 130, "payload": bytes(range(200))},
+            # 130 = varint 82 01, 200 = varint c8 01
+            "008201" + "78" * 130 + "01c801" + bytes(range(200)).hex(),
+        ),
+        (VARIABLE, {"dst": 42, "payload": 1.5}, "000234320103312e35"),
+        (
+            MIXED,
+            {"rpc_id": 1, "obj_id": -3, "ok": False, "dst": "B",
+             "payload": b"x" * 64},
+            "00fffffffffffffffd010000000000000001020003014204" + "40"
+            + "78" * 64,
+        ),
+        (
+            MIXED,
+            {"obj_id": 9, "payload": None, "unrelated": "ignored"},
+            "000000000000000009010000000000000000020003000400",
+        ),
+    ]
+
+    @pytest.mark.parametrize("types, fields, expected", GOLDEN)
+    def test_golden_vectors(self, types, fields, expected):
+        codec = AdnWireCodec(build_layout(types))
+        encoded = codec.encode(fields)
+        assert encoded.hex() == expected
+        assert codec.encoded_size(fields) == len(encoded)
+
+    def test_truncated_fixed_region_rejected(self):
+        codec = AdnWireCodec(self.layout())
+        encoded = codec.encode({"rpc_id": 1})
+        with pytest.raises(RuntimeFault, match="truncated"):
+            codec.decode(encoded[: codec.layout.fixed_bytes - 1])
+
+    def test_mismatched_fixed_id_rejected(self):
+        codec = AdnWireCodec(self.layout())
+        encoded = bytearray(codec.encode({"rpc_id": 1}))
+        encoded[9] = 7  # the second fixed field's id byte
+        with pytest.raises(RuntimeFault, match="layout mismatch"):
+            codec.decode(bytes(encoded))
+
+    def test_unknown_variable_id_rejected(self):
+        codec = AdnWireCodec(build_layout(self.VARIABLE))
+        with pytest.raises(RuntimeFault, match="layout mismatch"):
+            codec.decode(b"\x00\x00\x09\x00")
+
+    def test_trailing_field_rejected(self):
+        codec = AdnWireCodec(build_layout(self.VARIABLE))
+        with pytest.raises(RuntimeFault, match="layout mismatch"):
+            codec.decode(codec.encode({}) + b"\x01\x00")
+
+    def test_truncated_variable_field_rejected(self):
+        codec = AdnWireCodec(self.layout())
+        encoded = codec.encode({"payload": b"data"})
+        with pytest.raises(RuntimeFault, match="truncated variable field"):
+            codec.decode(encoded[:-1])
+
+    def test_missing_variable_field_rejected(self):
+        codec = AdnWireCodec(build_layout(self.VARIABLE))
+        with pytest.raises(RuntimeFault, match="truncated"):
+            codec.decode(b"\x00\x00")
+
+    def test_truncated_varint_rejected(self):
+        codec = AdnWireCodec(build_layout(self.VARIABLE))
+        # a length varint whose continuation bit promises another byte
+        with pytest.raises(RuntimeFault, match="truncated varint"):
+            codec.decode(b"\x00\x82")
+
 
 class TestVirtualL2:
     def test_delivery_by_flat_id(self):

@@ -36,6 +36,17 @@ field_names = st.lists(
 
 INT64 = st.integers(min_value=-(2**62), max_value=2**62)
 
+#: values each field type round-trips through the ADN wire format
+_VALUES = {
+    FieldType.INT: INT64,
+    FieldType.FLOAT: st.floats(allow_nan=False),
+    FieldType.BOOL: st.booleans(),
+    FieldType.STR: st.text(max_size=40)
+    | st.text(min_size=128, max_size=300),
+    FieldType.BYTES: st.binary(max_size=40)
+    | st.binary(min_size=128, max_size=300),
+}
+
 
 class TestVarints:
     @given(st.integers(min_value=0, max_value=2**63 - 1))
@@ -121,6 +132,44 @@ class TestAdnWire:
                 FieldType.BYTES: blob,
             }[field_type]
         assert codec.decode(codec.encode(values)) == values
+
+    @given(data=st.data(), names=field_names)
+    @settings(max_examples=80)
+    def test_encoded_size_and_roundtrip(self, data, names):
+        # every type, text beyond ASCII, values long enough for 2-byte
+        # varint lengths; the size must be exact without encoding
+        types = {
+            name: data.draw(st.sampled_from(list(FieldType)), label=name)
+            for name in names
+        }
+        codec = AdnWireCodec(build_layout(types))
+        values = {
+            name: data.draw(_VALUES[field_type], label=f"{name} value")
+            for name, field_type in types.items()
+        }
+        encoded = codec.encode(values)
+        assert codec.encoded_size(values) == len(encoded)
+        assert codec.decode(encoded) == values
+
+    @given(data=st.data(), names=field_names)
+    @settings(max_examples=40)
+    def test_encoded_size_with_absent_and_foreign_values(self, data, names):
+        types = {
+            name: data.draw(st.sampled_from(list(FieldType)), label=name)
+            for name in names
+        }
+        codec = AdnWireCodec(build_layout(types))
+        values = {
+            name: data.draw(
+                st.none() | st.integers(-(2**40), 2**40) | st.floats(width=32)
+                if types[name] in (FieldType.STR, FieldType.BYTES)
+                else st.none(),
+                label=f"{name} value",
+            )
+            for name in names
+            if data.draw(st.booleans(), label=f"{name} present")
+        }
+        assert codec.encoded_size(values) == len(codec.encode(values))
 
     @given(names=field_names)
     @settings(max_examples=30)

@@ -447,6 +447,35 @@ class TestReproducibility:
         assert first.latency.samples != second.latency.samples
 
 
+class TestFigure5Pin:
+    """A reduced Figure-5 closed loop (Logging -> Acl -> Fault on the
+    ADN/mRPC path, 32 clients, 400 measured RPCs) with its exact
+    simulated results. The values were recorded before the simulator's
+    hot path was optimised; an optimisation that moves any of them
+    changed what the simulator computes."""
+
+    def test_seeded_results_exact(self):
+        reset_rpc_ids()
+        chain, registry = build_chain("Logging", "Acl", "Fault")
+        sim = Simulator()
+        cluster = two_machine_cluster(sim)
+        stack = AdnMrpcStack(sim, cluster, chain, SCHEMA, registry)
+        metrics = ClosedLoopClient(
+            sim,
+            stack.call,
+            concurrency=32,
+            total_rpcs=400,
+            warmup_rpcs=40,
+            seed=1,
+        ).run()
+        assert metrics.completed == 400
+        assert metrics.aborted == 51
+        assert metrics.throughput_rps == 94744.22966190847
+        assert metrics.latency.percentile(99) == 0.0003533799800000029
+        assert stack.wire_bytes_total == 130515
+        assert sim.now == 0.0044577999999999614
+
+
 class TestServerComposition:
     """A service whose handler calls a downstream service before
     responding — chained ADNs forming a microservice topology."""

@@ -1,6 +1,8 @@
 """Simulation engine tests: event ordering, processes, resources,
 stores, metrics."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -45,6 +47,47 @@ class TestEventsAndTime:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.timeout(-1)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timeout_rejected(self, delay):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.timeout(delay)
+        assert sim._heap == []
+
+    @pytest.mark.parametrize("when", [math.nan, math.inf, -math.inf])
+    def test_non_finite_schedule_rejected(self, when):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim._schedule_at(when, lambda: None)
+        assert sim._heap == []
+
+    def test_nan_cannot_reorder_later_events(self):
+        # a NaN in the heap would fire 0.3, NaN, 0.1, 0.2 as 0.1, 0.2,
+        # NaN, 0.3; rejecting it keeps every other event in time order
+        sim = Simulator()
+        fired = []
+        for delay in (0.3, math.nan, 0.1, 0.2):
+            try:
+                timer = sim.timeout(delay)
+            except SimulationError:
+                fired.append("rejected")
+                continue
+            timer.add_callback(lambda _event, delay=delay: fired.append(delay))
+        sim.run()
+        assert fired == ["rejected", 0.1, 0.2, 0.3]
+
+    def test_same_time_events_fire_in_push_order(self):
+        sim = Simulator()
+        trace = []
+        events = [sim.event() for _ in range(5)]
+        for index, event in enumerate(events):
+            event.add_callback(lambda _event, index=index: trace.append(index))
+        for event in reversed(events):
+            event.succeed()
+        sim.timeout(0.0).add_callback(lambda _event: trace.append("timeout"))
+        sim.run()
+        assert trace == [4, 3, 2, 1, 0, "timeout"]
 
     def test_run_until_pauses(self):
         sim = Simulator()
@@ -246,6 +289,43 @@ class TestResource:
         # first two run together; afterwards strictly one at a time
         assert finish_times == [1.0, 1.0, 2.0, 3.0]
 
+    def test_same_instant_users_granted_in_issue_order(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=1)
+        granted = []
+
+        def worker(tag):
+            yield from resource.use(1.0)
+            granted.append((tag, sim.now))
+
+        for tag in range(6):
+            sim.process(worker(tag))
+        sim.run()
+        assert granted == [(tag, float(tag + 1)) for tag in range(6)]
+        assert resource.grants == 6
+        assert resource.served == 6
+        # waiters queued 1 + 2 + ... + 5 seconds in total
+        assert resource.queue_wait_s_total == 15.0
+
+    def test_free_slot_use_accounts_exactly(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=2)
+
+        def worker(duration):
+            yield from resource.use(duration)
+
+        # three find a free slot at t=0 (the zero-length one releases at
+        # once); the fourth queues until the first releases at 0.25
+        for duration in (0.25, 0.0, 0.5, 0.125):
+            sim.process(worker(duration))
+        sim.run()
+        assert resource.busy_time == 0.875
+        assert resource.grants == 4
+        assert resource.served == 4
+        assert resource.queue_wait_s_total == 0.25
+        assert resource.last_grant_wait_s == 0.25
+        assert resource.queue_length == 0
+        assert sim.now == 0.5
 
 class TestStore:
     def test_fifo(self):
