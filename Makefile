@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench perf-smoke faults chaos-soak overload offload graph graph-check sanitize analyze examples check-all lint typecheck loc
+.PHONY: install test bench perf-smoke fig5-gates faults chaos-soak overload offload graph graph-check sanitize analyze examples check-all lint typecheck loc
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -45,6 +45,14 @@ perf-smoke:
 	    case "$$last" in *'"correct": true'*) ;; \
 	        *) echo "perf-smoke: $$w is not correct" && exit 1 ;; esac; \
 	done
+
+fig5-gates:
+	@# the Figure-5 paper-shape gates: ADN-vs-Envoy throughput and
+	@# latency, the mesh-overhead multiple and the headline claims, so
+	@# a change that moves the Envoy baseline's simulated numbers fails
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_fig5_throughput.py \
+	    benchmarks/test_fig5_latency.py benchmarks/test_mesh_overhead.py \
+	    benchmarks/test_headline_claims.py -q
 
 faults:
 	@# the seeded fault soak (small trial count) plus the end-to-end

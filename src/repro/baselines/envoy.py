@@ -6,21 +6,23 @@ sidecar, which parses the protocol stack, runs its (general, knob-heavy)
 filters, re-serializes, and forwards; the receiving host mirrors the
 same dance. Four proxy traversals per RPC round trip.
 
-Filters execute *functionally* via the same element semantics as ADN
-(so an ACL denial really aborts and fault injection really drops), but
-their cost is Envoy's: generic per-filter work plus payload marshalling
-plus HTTP/2 parse/re-serialize per traversal — not the element's own
-tight cost. That difference in where cost comes from *is* the paper's
-argument.
+Filters execute *functionally* as the same compiled element modules ADN
+runs (the Python backend's output, so an ACL denial really aborts and
+fault injection really drops), but their cost is Envoy's: generic
+per-filter work plus payload marshalling plus HTTP/2 parse/re-serialize
+per traversal — not the element's own tight cost. How a filter executes
+never enters its simulated cost. That difference in where cost comes
+from *is* the paper's argument.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Any, Generator, List, Optional, Sequence, Tuple
 
+from ..compiler.backends.python_backend import PythonBackend
 from ..dsl.functions import FunctionRegistry
 from ..dsl.schema import RpcSchema
-from ..ir.interp import ElementInstance
+from ..ir.analysis import analyze_element
 from ..ir.nodes import ElementIR
 from ..sim.cluster import Cluster
 from ..sim.engine import US, Simulator
@@ -53,15 +55,24 @@ class EnvoySidecar:
         self.workers: Resource = cluster.machine(machine).thread(
             "envoy-worker", capacity=self.costs.envoy_workers
         )
-        self.filters: List[Tuple[str, ElementInstance]] = [
-            (ir.name, ElementInstance(ir, registry)) for ir in filters
-        ]
+        backend = PythonBackend(registry)
+        self.filters: List[Tuple[str, Any]] = []
+        for ir in filters:
+            if ir.analysis is None:
+                # the backend binds the functions the analysis found
+                analyze_element(ir, registry)
+            self.filters.append((ir.name, backend.emit(ir).factory()))
         self.wasm_filters = wasm_filters
         self.traversals = 0
 
     def traverse(self, message: Row, kind: str, payload_size: int) -> Generator:
         """One directional pass through the proxy. Returns
-        (message_or_None, dropped_by)."""
+        (message_or_None, dropped_by).
+
+        Callers run it as its own process. Inlining it with ``yield
+        from`` would drop the process's two same-time hand-offs, reorder
+        events that tie in time, and so change seeded results.
+        """
         self.traversals += 1
         cpu = self.costs.envoy_traversal_cpu_us(
             filters=len(self.filters),
@@ -70,14 +81,11 @@ class EnvoySidecar:
         )
         yield from self.workers.use(cpu * US)
         dropped_by: Optional[str] = None
-        current = dict(message)
-        order = self.filters if kind == "request" else list(reversed(self.filters))
-        for name, instance in order:
-            outputs = instance.process(dict(current), kind)
-            outputs = [
-                {k: v for k, v in row.items() if isinstance(k, str)}
-                for row in outputs
-            ]
+        # compiled modules never mutate their input and emit fresh rows
+        current = message
+        order = self.filters if kind == "request" else reversed(self.filters)
+        for name, module in order:
+            outputs = module.process(current, kind)
             if not outputs:
                 if kind == "request":
                     dropped_by = name
@@ -162,14 +170,7 @@ class EnvoyMeshStack:
             dst=self.server_service,
             **fields,
         )
-        payload_size = len(
-            self.grpc.codec.encode(
-                {
-                    n: request.get(n)
-                    for n in self.schema.application_field_names()
-                }
-            )
-        )
+        payload_size = self.grpc.codec.encoded_size(request)
         aborted_by = ""
         response: Optional[Row] = None
 

@@ -6,8 +6,10 @@ Used as the reference point for the mesh-overhead experiment (the paper
 cites meshes adding 2.7–7.1x latency on top of this baseline) and as the
 shared machinery for the Envoy mesh stack.
 
-Messages are really serialized (ProtoCodec + HTTP/2 frames): byte counts
-on the wire are measured.
+Messages are really serialized (ProtoCodec + HTTP/2 frames), once per
+wire crossing: byte counts on the wire are measured. The CPU-cost
+helpers size the payload with ``ProtoCodec.encoded_size``, which counts
+the same bytes without building them.
 """
 
 from __future__ import annotations
@@ -63,11 +65,7 @@ class GrpcStack:
     # -- encoding ------------------------------------------------------------
 
     def encode(self, message: Row) -> bytes:
-        app_fields = {
-            name: message.get(name)
-            for name in self.schema.application_field_names()
-        }
-        payload = self.codec.encode(app_fields)
+        payload = self.codec.encode(message)
         headers = default_grpc_headers(
             str(message["method"]), str(message["dst"])
         )
@@ -89,16 +87,10 @@ class GrpcStack:
     # -- cost helpers -----------------------------------------------------------
 
     def _send_cpu_us(self, message: Row) -> float:
-        size = len(self.codec.encode(
-            {n: message.get(n) for n in self.schema.application_field_names()}
-        ))
-        return self.costs.grpc_send_cpu_us(size)
+        return self.costs.grpc_send_cpu_us(self.codec.encoded_size(message))
 
     def _recv_cpu_us(self, message: Row) -> float:
-        size = len(self.codec.encode(
-            {n: message.get(n) for n in self.schema.application_field_names()}
-        ))
-        return self.costs.grpc_recv_cpu_us(size)
+        return self.costs.grpc_recv_cpu_us(self.codec.encoded_size(message))
 
     def _wire(self, encoded: bytes, hops: int = 1) -> Generator:
         wire = tcp_wire_bytes(len(encoded))

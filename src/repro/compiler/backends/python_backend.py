@@ -458,30 +458,20 @@ class _Writer:
     def line(self, text: str) -> None:
         self._lines.append("    " * self._depth + text)
 
-    def pop_line(self) -> str:
-        return self._lines.pop()
-
-    def rewrite_last_as_guard(self) -> None:  # kept for API symmetry
-        pass
-
     def text(self) -> str:
         return "\n".join(self._lines) + "\n"
 
     def indent(self) -> "_IndentContext":
         return _IndentContext(self)
 
-    def indented_block(self, extra: int) -> "_IndentContext":
-        return _IndentContext(self, extra)
-
 
 class _IndentContext:
-    def __init__(self, writer: _Writer, extra: int = 1):
+    def __init__(self, writer: _Writer):
         self.writer = writer
-        self.extra = extra
 
     def __enter__(self) -> "_IndentContext":
-        self.writer._depth += self.extra
+        self.writer._depth += 1
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.writer._depth -= self.extra
+        self.writer._depth -= 1

@@ -25,8 +25,3 @@ class Span:
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
-
-def span_of(node: object) -> "Span | None":
-    """The node's span, or None when the node carries none (e.g. nodes
-    synthesized by optimization passes)."""
-    return getattr(node, "span", None)

@@ -11,6 +11,7 @@ plan's seed.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -70,6 +71,14 @@ _MACHINE_KINDS = (
 )
 
 
+def _seed_problem(seed: object) -> Optional[str]:
+    """Why a plan's ``"seed"`` is unusable, or ``None``: it must be a
+    JSON integer (not a string, float, boolean or object)."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        return f'"seed" must be an integer, got {seed!r}'
+    return None
+
+
 def _event_problems(
     at_s: float,
     kind: str,
@@ -86,10 +95,17 @@ def _event_problems(
             f"unknown fault kind {kind!r} (choose from "
             f"{', '.join(FAULT_KINDS)})"
         )
-    if at_s < 0:
-        problems.append(f"fault at_s must be >= 0, got {at_s}")
-    if duration_s is not None and duration_s <= 0:
-        problems.append(f"fault duration_s must be positive, got {duration_s}")
+    # isfinite first: every comparison with NaN is false
+    if not math.isfinite(at_s) or at_s < 0:
+        problems.append(f"fault at_s must be finite and >= 0, got {at_s}")
+    if duration_s is not None and (
+        not math.isfinite(duration_s) or duration_s <= 0
+    ):
+        problems.append(
+            f"fault duration_s must be finite and positive, got {duration_s}"
+        )
+    if not math.isfinite(magnitude):
+        problems.append(f"fault magnitude must be finite, got {magnitude}")
     if kind in _MACHINE_KINDS and not target:
         problems.append(f"{kind} needs a target machine")
     if kind == LINK_LOSS and not (0.0 < magnitude <= 1.0):
@@ -191,7 +207,11 @@ class FaultPlan:
         if not isinstance(data, dict) or "events" not in data:
             raise FaultPlanError('fault plan JSON needs an "events" list')
         events = [FaultEvent.from_dict(entry) for entry in data["events"]]
-        return cls(events=events, seed=int(data.get("seed", 0)))
+        seed = data.get("seed", 0)
+        seed_problem = _seed_problem(seed)
+        if seed_problem:
+            raise FaultPlanError(seed_problem)
+        return cls(events=events, seed=seed)
 
     def validate(self) -> List[str]:
         """Plan-level problems the per-event constructor cannot see:
@@ -302,9 +322,13 @@ def load_fault_plan(path: str):
                 magnitude=magnitude,
             )
         )
+    seed = data.get("seed", 0)
+    seed_problem = _seed_problem(seed)
+    if seed_problem:
+        diagnostics.append(problem(seed_problem))
     if diagnostics:
         return None, diagnostics
-    plan = FaultPlan(events=events, seed=int(data.get("seed", 0)))
+    plan = FaultPlan(events=events, seed=seed)
     overlap_problems = plan.validate()
     if overlap_problems:
         return None, [problem(text) for text in overlap_problems]

@@ -146,10 +146,6 @@ class ScenarioResult:
             if str(row["username"]).startswith("user")
         )
 
-    def tally_size(self) -> int:
-        store = self._tally_store()
-        return len(store.table("tally")) if store is not None else 0
-
     def _tally_store(self):
         for processor in self.stack.processors:
             if "SessionTally" in processor.segment.elements:

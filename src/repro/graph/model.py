@@ -107,8 +107,19 @@ class EdgeSpec:
     offload: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.elements, str):
+            raise GraphError(
+                f"edge {self.src}->{self.dst}: elements must be a list of "
+                f"element names, got the string {self.elements!r}"
+            )
         if not isinstance(self.elements, tuple):
             object.__setattr__(self, "elements", tuple(self.elements))
+        for element in self.elements:
+            if not isinstance(element, str) or not element:
+                raise GraphError(
+                    f"edge {self.src}->{self.dst}: element names must be "
+                    f"non-empty strings, got {element!r}"
+                )
         if not isinstance(self.hash_fields, tuple):
             object.__setattr__(self, "hash_fields", tuple(self.hash_fields))
         if self.offload is not None and self.offload not in (

@@ -71,13 +71,6 @@ class GraphPlacement:
         except KeyError:
             raise GraphError(f"no placement for service {service!r}") from None
 
-    def services_on(self, machine: str) -> List[str]:
-        return sorted(
-            name
-            for name, host in self.service_machines.items()
-            if host == machine
-        )
-
     def to_dict(self) -> dict:
         return {
             "graph": self.graph.name,

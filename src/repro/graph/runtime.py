@@ -384,13 +384,6 @@ class GraphRuntime:
 
     # -- control-plane reconfiguration ---------------------------------------
 
-    def apply_edge_plan(self, src: str, dst: str, new_plan) -> list:
-        """Install a re-solved placement on one edge's stack, subject to
-        the stack's epoch fence — the mesh-level entry point a
-        controller uses, so stale pushes from a deposed leader are
-        refused per edge exactly like on a single hop."""
-        return self.stack(src, dst).apply_plan(new_plan)
-
     @property
     def stale_plans_rejected(self) -> int:
         """Mesh-wide count of fenced (refused) stale config pushes."""

@@ -2,8 +2,11 @@
 
 This is the executable semantics of the DSL: the Python backend's
 generated code, the eBPF/P4 models, and every optimization pass are all
-tested against it (differential testing). It is also used directly as the
-execution engine for data-plane processors in the simulator.
+tested against it (differential testing), and translation validation
+(:mod:`repro.analysis.validate`) runs it. It is the reference semantics
+only: no data-plane path in the simulator runs it. ADN processors and
+the Envoy baseline's sidecar filters run the Python backend's compiled
+modules.
 
 Rows are dictionaries. Input-tuple fields use plain string keys; columns
 joined in from state tables use ``(table, column)`` tuple keys, so the

@@ -69,10 +69,6 @@ class PassReport:
     counterexample: str = ""
     counterexample_span: Optional[Span] = None
 
-    @property
-    def ir_delta(self) -> int:
-        return self.ir_size_after - self.ir_size_before
-
 
 @dataclass
 class PassOutcome:

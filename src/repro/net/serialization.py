@@ -10,7 +10,7 @@ benchmark — are real.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from ..dsl.schema import FieldType, RpcSchema
 from ..errors import RuntimeFault
@@ -58,10 +58,37 @@ def zigzag_decode(value: int) -> int:
     return (value >> 1) if not value & 1 else -((value + 1) >> 1)
 
 
+def varint_size(value: int) -> int:
+    """Length of ``encode_varint(value)`` for ``value >= 0``, without
+    building it."""
+    return (value.bit_length() + 6) // 7 or 1
+
+
+_UNENCODABLE = (ValueError, TypeError, OverflowError)
+_DOUBLE = struct.Struct("<d")
+# module-level aliases: an enum member lookup per field is measurable
+_INT = FieldType.INT
+_BOOL = FieldType.BOOL
+_FLOAT = FieldType.FLOAT
+_WIRE_TYPES = {
+    FieldType.INT: _WIRE_VARINT,
+    FieldType.BOOL: _WIRE_VARINT,
+    FieldType.FLOAT: _WIRE_I64,
+    FieldType.STR: _WIRE_LEN,
+    FieldType.BYTES: _WIRE_LEN,
+}
+
+
 class ProtoCodec:
     """Encodes/decodes an RPC's application fields per an
     :class:`~repro.dsl.schema.RpcSchema` (field numbers are assigned by
-    schema order, starting at 1)."""
+    schema order, starting at 1).
+
+    A value the field's type cannot carry (``"abc"`` in an INT field, an
+    object in a STR field) raises :class:`RuntimeFault` from ``encode``
+    and ``encoded_size`` alike. Rows may carry fields outside the
+    schema; both ignore them.
+    """
 
     def __init__(self, schema: RpcSchema):
         self.schema = schema
@@ -70,37 +97,76 @@ class ProtoCodec:
             for index, name in enumerate(schema.application_field_names())
         }
         self._names: Dict[int, str] = {v: k for k, v in self._numbers.items()}
+        #: (name, type, encoded tag) per field, in schema order
+        self._fields: List[Tuple[str, FieldType, bytes]] = [
+            (
+                name,
+                schema.fields[name].type,
+                encode_varint(
+                    (number << 3) | _WIRE_TYPES[schema.fields[name].type]
+                ),
+            )
+            for name, number in self._numbers.items()
+        ]
 
     def encode(self, fields: Dict[str, object]) -> bytes:
         out = bytearray()
-        for name in self.schema.application_field_names():
-            if name not in fields or fields[name] is None:
+        for name, field_type, tag in self._fields:
+            value = fields.get(name)
+            if value is None:
                 continue
-            number = self._numbers[name]
-            value = fields[name]
-            field_type = self.schema.fields[name].type
-            out.extend(self._encode_field(number, field_type, value))
+            try:
+                if field_type is _INT:
+                    body = encode_varint(zigzag_encode(int(value)))  # type: ignore[call-overload]
+                elif field_type is _FLOAT:
+                    body = _DOUBLE.pack(float(value))  # type: ignore[arg-type]
+                elif field_type is _BOOL:
+                    body = b"\x01" if value else b"\x00"
+                else:
+                    raw = (
+                        value.encode("utf-8")
+                        if isinstance(value, str)
+                        else bytes(value)  # type: ignore[call-overload]
+                    )
+                    body = encode_varint(len(raw)) + raw
+            except _UNENCODABLE as exc:
+                raise _unencodable(name, field_type, value, exc) from None
+            out += tag
+            out += body
         return bytes(out)
 
-    def _encode_field(
-        self, number: int, field_type: FieldType, value: object
-    ) -> bytes:
-        if field_type is FieldType.INT:
-            tag = encode_varint((number << 3) | _WIRE_VARINT)
-            return tag + encode_varint(zigzag_encode(int(value)))  # type: ignore[arg-type]
-        if field_type is FieldType.BOOL:
-            tag = encode_varint((number << 3) | _WIRE_VARINT)
-            return tag + encode_varint(1 if value else 0)
-        if field_type is FieldType.FLOAT:
-            tag = encode_varint((number << 3) | _WIRE_I64)
-            return tag + struct.pack("<d", float(value))  # type: ignore[arg-type]
-        if field_type in (FieldType.STR, FieldType.BYTES):
-            raw = (
-                value.encode("utf-8") if isinstance(value, str) else bytes(value)  # type: ignore[arg-type]
-            )
-            tag = encode_varint((number << 3) | _WIRE_LEN)
-            return tag + encode_varint(len(raw)) + raw
-        raise RuntimeFault(f"cannot encode type {field_type}")
+    def encoded_size(self, fields: Dict[str, object]) -> int:
+        """``len(self.encode(fields))``, counted without building the
+        bytes."""
+        size = 0
+        for name, field_type, tag in self._fields:
+            value = fields.get(name)
+            if value is None:
+                continue
+            # the conversions encode makes, so both fault on the same values
+            try:
+                if field_type is _INT:
+                    size += varint_size(zigzag_encode(int(value)))  # type: ignore[call-overload]
+                elif field_type is _FLOAT:
+                    float(value)  # type: ignore[arg-type]
+                    size += 8
+                elif field_type is _BOOL:
+                    bool(value)
+                    size += 1
+                else:
+                    if type(value) is bytes:
+                        length = len(value)
+                    elif type(value) is str and value.isascii():
+                        length = len(value)
+                    elif isinstance(value, str):
+                        length = len(value.encode("utf-8"))
+                    else:
+                        length = len(bytes(value))  # type: ignore[call-overload]
+                    size += varint_size(length) + length
+            except _UNENCODABLE as exc:
+                raise _unencodable(name, field_type, value, exc) from None
+            size += len(tag)
+        return size
 
     def decode(self, data: bytes) -> Dict[str, object]:
         fields: Dict[str, object] = {}
@@ -142,5 +208,11 @@ class ProtoCodec:
                 raise RuntimeFault(f"unknown wire type {wire_type}")
         return fields
 
-    def encoded_size(self, fields: Dict[str, object]) -> int:
-        return len(self.encode(fields))
+
+def _unencodable(
+    name: str, field_type: FieldType, value: object, exc: Exception
+) -> RuntimeFault:
+    return RuntimeFault(
+        f"field {name!r}: cannot encode {type(value).__name__} value as "
+        f"{field_type.value} ({exc})"
+    )

@@ -66,9 +66,6 @@ class PlacementPlan:
     #: newer than what it already runs (0 = legacy unfenced plan)
     epoch: int = 0
 
-    def segments_on(self, machine: str) -> List[PlacementSegment]:
-        return [seg for seg in self.segments if seg.machine == machine]
-
     def element_locations(self) -> Dict[str, Tuple[Platform, str]]:
         return {
             name: (segment.platform, segment.machine)

@@ -55,9 +55,6 @@ class LatencySeries:
     def median_us(self) -> float:
         return self.median * 1e6
 
-    def mean_us(self) -> float:
-        return self.mean * 1e6
-
 
 @dataclass
 class RunMetrics:

@@ -39,10 +39,6 @@ class MigrationReport:
     started_at: float = 0.0
     finished_at: float = 0.0
 
-    @property
-    def total_s(self) -> float:
-        return self.finished_at - self.started_at
-
 
 @dataclass
 class MigrationTiming:

@@ -366,6 +366,22 @@ class TestAdn600SpecDiagnostics:
         assert main(["graph", str(bad), "--check"]) == 1
         assert "ADN600" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "elements", [["Logging", 7], ["Logging", None], [""], [["Acl"]], "Acl"]
+    )
+    def test_bad_edge_element_names(self, tmp_path, capsys, elements):
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps({
+            "name": "g",
+            "edges": [{"src": "a", "dst": "b", "elements": elements}],
+        }))
+        graph, diags = load_graph_spec(str(path))
+        assert graph is None
+        assert codes(diags) == ["ADN600"]
+        assert "a->b" in diags[0].message
+        assert main(["graph", str(path), "--check"]) == 1
+        assert "ADN600" in capsys.readouterr().err
+
 
 class TestGraphDeadFields:
     def test_bookinfo_shrinks_declared_edges(self):

@@ -113,6 +113,96 @@ class TestProtoCodec:
         large = codec.encoded_size({"payload": b"x" * 1000})
         assert large > small + 900
 
+    ALL_TYPES = RpcSchema.of(
+        "g",
+        n=FieldType.INT,
+        b=FieldType.BOOL,
+        f=FieldType.FLOAT,
+        s=FieldType.STR,
+        raw=FieldType.BYTES,
+    )
+    #: (fields, hex encoding) recorded from the original per-field
+    #: encoder; the format must never drift from these
+    GOLDEN = [
+        ({"n": 0}, "0800"),
+        ({"n": -1}, "0801"),
+        ({"n": -300}, "08d704"),
+        ({"n": 2**62}, "0880808080808080808001"),
+        ({"n": 2**63 - 1}, "08feffffffffffffffff01"),
+        ({"n": -(2**63)}, "08ffffffffffffffffff01"),
+        ({"b": True}, "1001"),
+        ({"b": False}, "1000"),
+        ({"f": 3.25}, "190000000000000a40"),
+        ({"f": -0.0}, "190000000000000080"),
+        ({"f": 1}, "19000000000000f03f"),
+        ({"s": "hello"}, "220568656c6c6f"),
+        ({"s": "h\u00e9llo \u4e16\u754c"}, "220d68c3a96c6c6f20e4b896e7958c"),
+        ({"raw": b"\x00\x01\xff"}, "2a030001ff"),
+        # 130 = varint 82 01, 200 = varint c8 01
+        ({"s": "x" * 130}, "228201" + "78" * 130),
+        ({"raw": bytes(range(200))}, "2ac801" + bytes(range(200)).hex()),
+        ({"s": ""}, "2200"),
+        ({"raw": b""}, "2a00"),
+        ({}, ""),
+        ({"n": None, "b": None, "f": None, "s": None, "raw": None}, ""),
+        ({"unrelated": 1}, ""),
+        # an int in a variable field is bytes(int): that many zero bytes
+        ({"raw": 5}, "2a050000000000"),
+        ({"s": 3}, "2203000000"),
+        # coercions the encoder accepts
+        ({"n": "12"}, "0818"),
+        ({"n": 1.5}, "0802"),
+        ({"n": True}, "0802"),
+        ({"f": True}, "19000000000000f03f"),
+        ({"b": "x"}, "1001"),
+        ({"raw": "\u00e9"}, "2a02c3a9"),
+        ({"raw": bytearray(b"ab")}, "2a026162"),
+        ({"raw": [1, 2]}, "2a020102"),
+        (
+            {"n": -7, "b": True, "f": 0.5, "s": "usr2", "raw": b"payload"},
+            "080d100119000000000000e03f2204757372322a077061796c6f6164",
+        ),
+    ]
+
+    @pytest.mark.parametrize("fields, expected", GOLDEN)
+    def test_golden_vectors(self, fields, expected):
+        codec = ProtoCodec(self.ALL_TYPES)
+        encoded = codec.encode(fields)
+        assert encoded.hex() == expected
+        assert codec.encoded_size(fields) == len(encoded)
+
+    def test_golden_two_byte_tags(self):
+        # field numbers from 16 up need a 2-byte tag varint
+        schema = RpcSchema("w")
+        for number in range(1, 18):
+            schema.add(f"c{number}", FieldType.INT)
+        codec = ProtoCodec(schema)
+        fields = {"c15": 1, "c16": 2, "c17": 3}
+        assert codec.encode(fields).hex() == "7802800104880106"
+        assert codec.encoded_size(fields) == 8
+
+    UNENCODABLE = [
+        {"n": "abc"},
+        {"n": float("inf")},
+        {"n": float("nan")},
+        {"n": object()},
+        {"f": "x"},
+        {"f": object()},
+        {"s": object()},
+        {"s": 2.5},
+        {"s": "\ud800"},
+        {"s": [300]},
+        {"raw": -1},
+    ]
+
+    @pytest.mark.parametrize("fields", UNENCODABLE)
+    def test_unencodable_values_fault(self, fields):
+        codec = ProtoCodec(self.ALL_TYPES)
+        with pytest.raises(RuntimeFault):
+            codec.encode(fields)
+        with pytest.raises(RuntimeFault):
+            codec.encoded_size(fields)
+
 
 class TestHttp2:
     def test_grpc_message_roundtrip(self):

@@ -329,6 +329,35 @@ class TestLoadFaultPlanDiagnostics:
         self.assert_failed(plan, diagnostics)
         assert "overlap" in diagnostics[0].message
 
+    @pytest.mark.parametrize(
+        "seed", ["7", "abc", {"n": 1}, [1], 1.5, True, float("inf")]
+    )
+    def test_non_integer_seed_rejected(self, tmp_path, seed):
+        # json.dumps writes inf as the bare token Infinity, which
+        # json.loads reads back as a float
+        plan, diagnostics = load_fault_plan(self.write(tmp_path, {
+            "seed": seed,
+            "events": [{"at_s": 0.1, "kind": "machine_crash", "target": "m"}],
+        }))
+        self.assert_failed(plan, diagnostics)
+        assert '"seed" must be an integer' in diagnostics[0].message
+
+    @pytest.mark.parametrize("key", ["at_s", "duration_s", "magnitude"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_times_and_magnitudes_rejected(
+        self, tmp_path, key, value
+    ):
+        event = {"at_s": 0.1, "kind": GRAY_DEGRADE, "target": "m",
+                 "duration_s": 0.05, "magnitude": 20.0}
+        event[key] = value
+        plan, diagnostics = load_fault_plan(
+            self.write(tmp_path, {"events": [event]})
+        )
+        self.assert_failed(plan, diagnostics)
+        assert f"events[0]: fault {key} must be finite" in " ".join(
+            d.message for d in diagnostics
+        )
+
     def test_valid_plan_loads_clean(self, tmp_path):
         plan, diagnostics = load_fault_plan(self.write(tmp_path, {
             "seed": 9,
