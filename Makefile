@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench perf-smoke fig5-gates faults chaos-soak overload offload graph graph-check sanitize analyze examples check-all lint typecheck loc
+.PHONY: install test bench perf-smoke digests fig5-gates faults chaos-soak overload offload graph graph-check sanitize analyze examples check-all lint typecheck loc
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -45,6 +45,13 @@ perf-smoke:
 	    case "$$last" in *'"correct": true'*) ;; \
 	        *) echo "perf-smoke: $$w is not correct" && exit 1 ;; esac; \
 	done
+
+digests:
+	@# every benchmark workload's seeded run digest must equal the one
+	@# recorded in benchmarks/digests.json, so no change moves a
+	@# simulated number unnoticed (one that does so on purpose re-records
+	@# the file with --record and says why in CHANGES.md)
+	$(PYTHON) benchmarks/check_digests.py --seeds 1 2 3 4 8 101
 
 fig5-gates:
 	@# the Figure-5 paper-shape gates: ADN-vs-Envoy throughput and

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..errors import DslValidationError
 
@@ -31,23 +31,13 @@ class FieldType(enum.Enum):
         except ValueError:
             raise DslValidationError(f"unknown type {word!r}") from None
 
-    @property
-    def python_type(self) -> type:
-        return _PYTHON_TYPES[self]
-
     def accepts(self, value: object) -> bool:
         """True when a Python value is a valid instance of this type.
 
         ``int`` is accepted where ``float`` is expected, mirroring SQL
         numeric coercion; ``bool`` is *not* an ``int`` here.
         """
-        if value is None:
-            return True
-        if self is FieldType.FLOAT:
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-        if self is FieldType.INT:
-            return isinstance(value, int) and not isinstance(value, bool)
-        return isinstance(value, self.python_type)
+        return value is None or _ACCEPTS[self._value_](value)
 
     def exemplar_values(self) -> Tuple[object, ...]:
         """Representative concrete values of this type, used to build the
@@ -62,13 +52,17 @@ class FieldType(enum.Enum):
         }[self]
 
 
-#: the Python type of each field type's values
-_PYTHON_TYPES: Dict[FieldType, type] = {
-    FieldType.STR: str,
-    FieldType.INT: int,
-    FieldType.FLOAT: float,
-    FieldType.BOOL: bool,
-    FieldType.BYTES: bytes,
+#: whether a non-None value is an instance of each field type, keyed by
+#: ``FieldType.value`` (a str key hashes in C; a member's hash is a
+#: Python-level call)
+_ACCEPTS: Dict[str, Callable[[object], bool]] = {
+    "str": lambda value: isinstance(value, str),
+    "int": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "float": lambda value: (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+    ),
+    "bool": lambda value: isinstance(value, bool),
+    "bytes": lambda value: isinstance(value, bytes),
 }
 
 #: Meta-fields every RPC tuple carries implicitly. Elements may read all of
@@ -105,6 +99,11 @@ class RpcSchema:
     name: str
     fields: Dict[str, FieldSpec] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        #: :meth:`all_fields` as built once for the per-RPC callers;
+        #: ``add`` drops it
+        self._field_types: Optional[Dict[str, FieldType]] = None
+
     @classmethod
     def of(cls, name: str, **types: FieldType) -> "RpcSchema":
         """Build a schema from keyword arguments: ``RpcSchema.of("kv",
@@ -122,6 +121,7 @@ class RpcSchema:
         if name in self.fields:
             raise DslValidationError(f"duplicate field {name!r} in schema")
         self.fields[name] = FieldSpec(name, type_, doc)
+        self._field_types = None
         return self
 
     def field_type(self, name: str) -> Optional[FieldType]:
@@ -176,7 +176,9 @@ class RpcSchema:
 
     def validate_message_fields(self, items: Iterable[Tuple[str, object]]) -> None:
         """Raise if any (name, value) pair is ill-typed for this schema."""
-        known = self.all_fields()
+        known = self._field_types
+        if known is None:
+            known = self._field_types = self.all_fields()
         for name, value in items:
             expected = known.get(name)
             if expected is not None and not expected.accepts(value):

@@ -331,10 +331,9 @@ class GraphRuntime:
         call_fields = dict(fields)
         if deadline_at is not None:
             call_fields["deadline_at"] = deadline_at
-        outcome = yield self.sim.process(
-            self.stacks[edge.key].call(**call_fields)
-        )
-        self.edge_stats[edge.key].record(outcome)
+        key = edge.key
+        outcome = yield from self.stacks[key].call(**call_fields)
+        self.edge_stats[key].record(outcome)
         return (edge, outcome)
 
     def entry_call(self, **fields: object) -> Generator:

@@ -155,7 +155,7 @@ class MeshWorkload:
             self.sim.process(self._one(fields, priority))
 
     def _one(self, fields: Dict[str, object], priority: int) -> Generator:
-        outcome: RpcOutcome = yield self.sim.process(self.call(**fields))
+        outcome: RpcOutcome = yield from self.call(**fields)
         self.metrics.completed += 1
         self.metrics.latency.record(outcome.latency_s)
         if outcome.ok:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 
@@ -25,10 +26,13 @@ class FlatId:
         if len(self.value) != 6:
             raise ValueError(f"FlatId must be 6 bytes, got {len(self.value)}")
 
-    @classmethod
-    def for_name(cls, name: str) -> "FlatId":
+    @staticmethod
+    @lru_cache(maxsize=4096)
+    def for_name(name: str) -> "FlatId":
+        """Endpoint names recur on every frame; hash each one once (a
+        FlatId is immutable, so every caller can share it)."""
         digest = hashlib.blake2b(name.encode("utf-8"), digest_size=6).digest()
-        return cls(digest)
+        return FlatId(digest)
 
     def __str__(self) -> str:
         return ":".join(f"{b:02x}" for b in self.value)

@@ -393,7 +393,15 @@ class AdnMrpcStack:
         )
         self.response_hop_plan = response_plans[0]
         self._response_codec = AdnWireCodec(self.response_hop_plan.layout)
-        return AdnWireCodec(self.hop_plan.layout)
+        codec = AdnWireCodec(self.hop_plan.layout)
+        #: CPU for putting one message on the wire, or taking it off
+        #: (receive costs are symmetric), per codec: set by its layout
+        self._transport_us = {
+            each: self.costs.mrpc_tcp_batched_us
+            + self.costs.header_codec_us(len(each.layout.fields))
+            for each in (codec, self._response_codec)
+        }
+        return codec
 
     def _attach_l2(self) -> None:
         """Attach both hosts' engines to the cluster's flat-identifier
@@ -443,12 +451,9 @@ class AdnMrpcStack:
     # -- helpers ------------------------------------------------------------
 
     def _transport_cpu_us(self, message: Row) -> float:
-        """CPU for putting one message on the wire, or taking it off
-        (receive costs are symmetric): set by the hop's layout alone."""
-        codec = self._codec_for(message)
-        return self.costs.mrpc_tcp_batched_us + self.costs.header_codec_us(
-            len(codec.layout.fields)
-        )
+        """CPU for putting one message on the wire, or taking it off:
+        the cost :meth:`_build_codec` recorded for its codec."""
+        return self._transport_us[self._codec_for(message)]
 
     def _wire_size(self, message: Row) -> int:
         """Bytes one message puts on the wire. ``_cross_wire`` adds only

@@ -22,7 +22,7 @@ from ..overload.admission import AdmissionController, admission_from_meta
 from ..platforms import Platform
 from ..sim.cluster import Cluster, Machine
 from ..sim.costmodel import CostModel
-from ..sim.engine import US, Event, Simulator
+from ..sim.engine import US, Event, Simulator, Timeout
 from ..sim.resources import Resource
 from .message import Row
 
@@ -117,6 +117,7 @@ class ProcessorRuntime:
         self.sanitizer = sanitizer
         self._sanitizer_instance = sanitizer_instance
         self.resource = self._allocate_resource()
+        self._static_element_costs()
         self.instances: Dict[str, object] = {}
         for name in segment.elements:
             compiled = chain.elements[name]
@@ -243,21 +244,34 @@ class ProcessorRuntime:
 
     # -- execution -------------------------------------------------------------
 
-    def _element_cost_us(self, name: str, kind: str, func_us: float) -> float:
-        analysis = self.chain.elements[name].analysis
+    def _static_element_costs(self) -> None:
+        """The per-RPC-invariant parts of :meth:`_element_cost_us`."""
+        costs = self.costs
+        platform = self.segment.platform
         # one dispatch per element — a fused element *is* one element,
         # so its members share a single dispatch by construction
-        dispatch = self.costs.element_dispatch_us
-        base = dispatch + analysis.handler_cost_us(kind) + func_us
-        factor = self.costs.platform_element_factor[self.segment.platform]
-        if self.handcoded:
-            factor *= self.costs.handcoded_element_factor
-        if self.segment.platform is Platform.SIDECAR:
-            base += self.costs.wasm_trampoline_us
-        if self.segment.platform is Platform.SMARTNIC:
+        self._handler_base_us: Dict[Tuple[str, str], float] = {
+            (name, kind): costs.element_dispatch_us
+            + self.chain.elements[name].analysis.handler_cost_us(kind)
+            for name in self.segment.elements
+            for kind in ("request", "response")
+        }
+        self._element_extra_us: Optional[float] = None
+        if platform is Platform.SIDECAR:
+            self._element_extra_us = costs.wasm_trampoline_us
+        elif platform is Platform.SMARTNIC:
             # per-packet match-action work on the NIC's own cores
-            base += self.costs.nic_match_action_us
-        return base * factor * self.slowdown_factor
+            self._element_extra_us = costs.nic_match_action_us
+        factor = costs.platform_element_factor[platform]
+        if self.handcoded:
+            factor *= costs.handcoded_element_factor
+        self._element_factor = factor
+
+    def _element_cost_us(self, name: str, kind: str, func_us: float) -> float:
+        base = self._handler_base_us[name, kind] + func_us
+        if self._element_extra_us is not None:
+            base += self._element_extra_us
+        return base * self._element_factor * self.slowdown_factor
 
     def _run_functionally(self, kind: str, rpc: Row) -> SegmentResult:
         """Execute the segment's elements on one tuple; returns outputs
@@ -415,15 +429,19 @@ class ProcessorRuntime:
             if result.dropped_by:
                 self.rpcs_dropped += 1
             return result
-        yield self.resource.request()
+        resource = self.resource
+        if not resource.take_free_slot():
+            # the elements run at the grant, so the hold's length is
+            # known only then: wait for the slot itself
+            yield resource.request()
         try:
             result = self._run_functionally(kind, rpc)
             if result.cpu_us > 0:
-                yield self.sim.timeout(result.cpu_us * US)
-            self.resource.busy_time += result.cpu_us * US
-            self.resource.served += 1
+                yield Timeout(self.sim, result.cpu_us * US)
+            resource.busy_time += result.cpu_us * US
+            resource.served += 1
         finally:
-            self.resource.release()
+            resource.release()
         if result.extra_us > 0:
             yield self.sim.timeout(result.extra_us * US)
         if result.dropped_by:

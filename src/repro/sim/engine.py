@@ -5,6 +5,13 @@ scratch): *processes* are Python generators that yield :class:`Event`
 objects; the simulator advances virtual time, firing events in timestamp
 order with FIFO tie-breaking.
 
+Entries due later wait in a heap ordered by (time, push sequence).
+Entries due *now* (a triggered event, a starting process) go to a FIFO
+ready queue instead: each was pushed after every heap entry due at the
+same instant, so the loop runs those heap entries first and then the
+ready queue in order, which is the order one heap would give, without
+a heap push and pop per zero-time hand-off.
+
 Everything in the data-plane substrate — CPU cores, NICs, links, RPC
 queues — is built from three primitives here: :class:`Event`,
 :class:`Process`, and the resources in :mod:`repro.sim.resources`.
@@ -17,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from heapq import heappop, heappush
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Callable, Deque, Generator, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -36,14 +44,14 @@ class Event:
     suspends the process until the event triggers.
     """
 
-    __slots__ = ("sim", "callbacks", "value", "triggered", "fired", "ok")
+    __slots__ = ("sim", "callbacks", "value", "triggered", "ok")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.callbacks: List[Callable[["Event"], None]] = []
+        #: waiters to call when the event fires; None once it has fired
+        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self.value: object = None
         self.triggered = False  # outcome decided (or scheduled, for timeouts)
-        self.fired = False  # callbacks have run
         self.ok = True
 
     def succeed(self, value: object = None) -> "Event":
@@ -51,8 +59,7 @@ class Event:
             raise SimulationError("event already triggered")
         self.triggered = True
         self.value = value
-        sim = self.sim
-        heappush(sim._heap, (sim.now, next(sim._sequence), self._fire))
+        self.sim._ready.append(self._fire)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -61,20 +68,21 @@ class Event:
         self.triggered = True
         self.ok = False
         self.value = exception
-        self.sim._schedule_at(self.sim.now, self._fire)
+        self.sim._ready.append(self._fire)
         return self
 
     def _fire(self) -> None:
-        self.fired = True
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:  # type: ignore[union-attr]
             callback(self)
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        if self.fired:
-            self.sim._schedule_at(self.sim.now, lambda: callback(self))
+        callbacks = self.callbacks
+        if callbacks is None:  # fired already: call back in a hand-off
+            self.sim._ready.append(lambda: callback(self))
         else:
-            self.callbacks.append(callback)
+            callbacks.append(callback)
 
 
 class Timeout(Event):
@@ -91,42 +99,59 @@ class Timeout(Event):
         Event.__init__(self, sim)
         self.triggered = True  # scheduled, cannot be re-succeeded
         self.value = value
-        heappush(sim._heap, (sim.now + delay, next(sim._sequence), self._fire))
+        sim._push(sim.now + delay, self._fire)
+
+
+class _Start:
+    """What a new process is resumed with: ``send(None)``."""
+
+    __slots__ = ()
+    ok = True
+    value = None
+
+
+_START = _Start()
 
 
 class Process(Event):
-    """A running generator; also an event that triggers when it returns."""
+    """A running generator; also an event that triggers when it returns.
+
+    Starting and finishing are zero-time hand-offs: each queues one
+    entry at ``now``, so a process runs its first step, and its waiters
+    learn it returned, in FIFO order with everything else due then.
+    """
 
     __slots__ = ("generator",)
 
     def __init__(self, sim: "Simulator", generator: Generator):
-        super().__init__(sim)
+        Event.__init__(self, sim)
         self.generator = generator
-        sim._schedule_at(sim.now, lambda: self._step(None, True))
+        sim._ready.append(self._start)
 
-    def _step(self, value: object, ok: bool) -> None:
+    def _start(self) -> None:
+        self._resume(_START)  # type: ignore[arg-type]
+
+    def _resume(self, event: Event) -> None:
         try:
-            if ok:
-                target = self.generator.send(value)
+            if event.ok:
+                target = self.generator.send(event.value)
             else:
-                target = self.generator.throw(value)  # type: ignore[arg-type]
+                target = self.generator.throw(event.value)  # type: ignore[arg-type]
         except StopIteration as stop:
             if not self.triggered:
                 self.triggered = True
                 self.value = stop.value
-                self.sim._schedule_at(self.sim.now, self._fire)
+                self.sim._ready.append(self._fire)
             return
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield Events"
             )
-        if target.fired:
+        callbacks = target.callbacks
+        if callbacks is None:
             target.add_callback(self._resume)
         else:
-            target.callbacks.append(self._resume)
-
-    def _resume(self, event: Event) -> None:
-        self._step(event.value, event.ok)
+            callbacks.append(self._resume)
 
 
 class AllOf(Event):
@@ -150,7 +175,7 @@ class AllOf(Event):
             self._pending -= 1
             if self._pending == 0 and not self.triggered:
                 self.triggered = True
-                self.sim._schedule_at(self.sim.now, self._fire)
+                self.sim._ready.append(self._fire)
 
         return on_child
 
@@ -169,15 +194,17 @@ class AnyOf(Event):
         if not self.triggered:
             self.triggered = True
             self.value = event.value
-            self.sim._schedule_at(self.sim.now, self._fire)
+            self.sim._ready.append(self._fire)
 
 
 class Simulator:
-    """The event loop: a time-ordered heap of callbacks."""
+    """The event loop: a time-ordered heap of callbacks due later, and a
+    FIFO queue of callbacks due now."""
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
+        self._ready: Deque[Callable[[], None]] = deque()
         self._sequence = itertools.count()
 
     # -- scheduling ---------------------------------------------------------
@@ -189,7 +216,15 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {when} (now is {self.now})"
             )
-        heappush(self._heap, (when, next(self._sequence), callback))
+        self._push(when, callback)
+
+    def _push(self, when: float, callback: Callable[[], None]) -> None:
+        """Schedule a checked time: an entry due now joins the ready
+        queue, one due later the heap."""
+        if when == self.now:
+            self._ready.append(callback)
+        else:
+            heappush(self._heap, (when, next(self._sequence), callback))
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -209,24 +244,35 @@ class Simulator:
     # -- running -------------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the heap drains or simulated time reaches ``until``."""
+        """Run until nothing is scheduled or simulated time reaches
+        ``until``."""
         heap = self._heap
-        if until is None:
-            while heap:
-                self.now, _seq, callback = heappop(heap)
-                callback()
+        ready = self._ready
+        pop_ready = ready.popleft
+        horizon = math.inf if until is None else until
+        if self.now > horizon:
+            if heap or ready:
+                self.now = horizon
             return
-        while heap:
-            when, _seq, callback = heap[0]
-            if when > until:
-                self.now = until
+        while True:
+            if ready:
+                # a heap entry due now was pushed before this instant
+                # began, so it precedes everything in the ready queue
+                if heap and heap[0][0] <= self.now:
+                    self.now, _seq, callback = heappop(heap)
+                else:
+                    callback = pop_ready()
+            elif heap:
+                if heap[0][0] > horizon:
+                    self.now = horizon
+                    return
+                self.now, _seq, callback = heappop(heap)
+            else:
+                # when everything drains before ``until``, time stays at
+                # the last event — advancing to an arbitrary horizon
+                # would corrupt elapsed-time metrics
                 return
-            heappop(heap)
-            self.now = when
             callback()
-        # when the heap drains before ``until``, time stays at the last
-        # event — advancing to an arbitrary horizon would corrupt
-        # elapsed-time metrics
 
     def run_until_complete(self, process: Process, limit: float = 1e6) -> object:
         """Run until ``process`` finishes; returns its value."""

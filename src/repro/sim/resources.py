@@ -19,11 +19,44 @@ Overload control (repro.overload) builds on two properties here:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Generator, List, Optional, Tuple
 
 from ..errors import SimulationError
-from .engine import Event, Simulator
+from .engine import Event, Simulator, Timeout
+
+
+class _Hold(Event):
+    """A queued ``Resource.use``: granted, then held for ``duration``.
+
+    ``release()`` grants it with ``succeed()``, which queues the same
+    zero-time entry a ``request()`` event's grant would. When that entry
+    runs, the hold itself is scheduled at ``now + duration`` with the
+    next sequence number: exactly where the waiter's own
+    ``timeout(duration)`` would have gone had it resumed at the grant.
+    A zero-length hold fires at the grant entry, as the waiter would
+    have finished there. Either way the waiter resumes once.
+    """
+
+    __slots__ = ("duration",)
+
+    def __init__(self, sim: Simulator, duration: float):
+        Event.__init__(self, sim)
+        self.duration = duration
+
+    def succeed(self, value: object = None) -> "_Hold":
+        if self.triggered:
+            raise SimulationError("event already triggered")
+        self.triggered = True
+        self.sim._ready.append(self._grant)
+        return self
+
+    def _grant(self) -> None:
+        if self.duration > 0:
+            self.sim._push(self.sim.now + self.duration, self._fire)
+        else:
+            self._fire()
 
 
 class Resource:
@@ -90,13 +123,21 @@ class Resource:
     def request(self) -> Event:
         """Event that triggers when a slot is granted to the caller."""
         event = self.sim.event()
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            self._record_grant(0.0)
+        if self.take_free_slot():
             event.succeed()
         else:
             self._waiters.append((event, self.sim.now))
         return event
+
+    def take_free_slot(self) -> bool:
+        """Take a free slot now: the zero-wait grant ``request()`` would
+        make, without an event to fire and wait on. False when every
+        slot is busy (the caller then queues)."""
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            self._record_grant(0.0)
+            return True
+        return False
 
     def release(self) -> None:
         if self._in_use <= 0:
@@ -134,22 +175,26 @@ class Resource:
     def use(self, duration: float) -> Generator[Event, None, None]:
         """``yield from resource.use(t)`` — acquire, hold for ``t``,
         release; accounts busy time."""
-        if duration < 0:
-            raise SimulationError(f"negative service time {duration}")
-        if self._in_use < self.capacity:
-            # free slot: the zero-wait grant ``request()`` would make,
-            # without an event to fire and wait on
-            self._in_use += 1
-            self._record_grant(0.0)
+        # one comparison rejects negative, NaN and infinite durations
+        # before a slot is taken
+        if not 0.0 <= duration < math.inf:
+            raise SimulationError(
+                f"service time {duration} is not finite and >= 0"
+            )
+        if self.take_free_slot():
+            wait = Timeout(self.sim, duration) if duration > 0 else None
         else:
-            yield self.request()
+            wait = _Hold(self.sim, duration)
+            self._waiters.append((wait, self.sim.now))
         try:
-            if duration > 0:
-                yield self.sim.timeout(duration)
+            if wait is not None:
+                yield wait
             self.busy_time += duration
             self.served += 1
         finally:
-            self.release()
+            # a hold abandoned before its grant has no slot to release
+            if wait is None or wait.triggered:
+                self.release()
 
     def capacity_seconds(self) -> float:
         """Integral of capacity over this resource's lifetime — the

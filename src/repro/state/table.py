@@ -58,6 +58,8 @@ class StateTable:
         self.decl = decl
         self.name = decl.name
         self.columns: Tuple[str, ...] = tuple(col.name for col in decl.columns)
+        self._column_set = frozenset(self.columns)
+        self._column_types = tuple((col.name, col.type) for col in decl.columns)
         self.key_columns: Tuple[str, ...] = tuple(
             col.name for col in decl.columns if col.is_key
         )
@@ -89,16 +91,16 @@ class StateTable:
         return tuple(row[col] for col in self.key_columns)
 
     def _check_row(self, row: Row) -> Row:
-        if set(row) != set(self.columns):
+        if row.keys() != self._column_set:
             raise StateError(
                 f"table {self.name!r}: row fields {sorted(row)} != "
                 f"columns {sorted(self.columns)}"
             )
-        for col in self.decl.columns:
-            if row[col.name] is not None and not col.type.accepts(row[col.name]):
+        for name, type_ in self._column_types:
+            if not type_.accepts(row[name]):
                 raise StateError(
-                    f"table {self.name!r}: column {col.name!r} expects "
-                    f"{col.type.value}, got {row[col.name]!r}"
+                    f"table {self.name!r}: column {name!r} expects "
+                    f"{type_.value}, got {row[name]!r}"
                 )
         return row
 
@@ -120,14 +122,14 @@ class StateTable:
     # -- mutations ------------------------------------------------------
 
     def insert(self, row: Row) -> None:
-        row = dict(self._check_row(dict(row)))
+        row = self._check_row(dict(row))
         previous: Optional[Row] = None
         if self.keyed:
             previous = self._by_key.get(self._key_of(row))
             self._by_key[self._key_of(row)] = row
         else:
             self._rows.append(row)
-        self._log(Delta.of("insert", row))
+        self._log("insert", row)
         if self.observer is not None:
             self.observer.on_insert(self, row, previous)
 
@@ -165,7 +167,7 @@ class StateTable:
             row.update(new_values)
             self._check_row(row)
             changed += 1
-            self._log(Delta.of("update", row))
+            self._log("update", row)
             if self.observer is not None and before != row:
                 self.observer.on_update(self, before, dict(row))
         return changed
@@ -178,7 +180,7 @@ class StateTable:
         if self.keyed:
             doomed = [k for k, row in self._by_key.items() if predicate(row)]
             for key in doomed:
-                self._log(Delta.of("delete", self._by_key[key]))
+                self._log("delete", self._by_key[key])
                 if self.observer is not None:
                     self.observer.on_delete(self, self._by_key[key])
                 del self._by_key[key]
@@ -187,7 +189,7 @@ class StateTable:
             kept: List[Row] = []
             for row in self._rows:
                 if predicate(row):
-                    self._log(Delta.of("delete", row))
+                    self._log("delete", row)
                     if self.observer is not None:
                         self.observer.on_delete(self, row)
                     removed += 1
@@ -240,9 +242,11 @@ class StateTable:
             else:
                 raise StateError(f"unknown delta op {delta.op!r}")
 
-    def _log(self, delta: Delta) -> None:
+    def _log(self, op: str, row: Row) -> None:
+        # the Delta (a sorted copy of the row) is built only while a
+        # migration is recording
         if self._delta_log is not None:
-            self._delta_log.append(delta)
+            self._delta_log.append(Delta.of(op, row))
 
     # -- split / merge (paper §5.2) ----------------------------------------
 

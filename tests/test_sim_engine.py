@@ -2,6 +2,7 @@
 stores, metrics."""
 
 import math
+from heapq import heappush
 
 import pytest
 
@@ -326,6 +327,315 @@ class TestResource:
         assert resource.last_grant_wait_s == 0.25
         assert resource.queue_length == 0
         assert sim.now == 0.5
+
+    @pytest.mark.parametrize("queued", [False, True], ids=["free", "queued"])
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_service_time_rejected_before_a_slot_is_taken(
+        self, duration, queued
+    ):
+        # NaN fails ``duration < 0`` and ``duration > 0`` alike: unchecked,
+        # it would take the zero-length path and poison busy_time
+        sim = Simulator()
+        resource = Resource(sim, capacity=1)
+
+        def holder():
+            yield from resource.use(1.0)
+
+        def bad():
+            yield from resource.use(duration)
+
+        if queued:
+            sim.process(holder())
+        sim.process(bad())
+        with pytest.raises(SimulationError, match="not finite and >= 0"):
+            sim.run()
+        assert resource.queue_length == 0
+        assert resource.grants == int(queued)
+        assert (resource.served, resource.busy_time) == (0, 0.0)
+        sim.run()
+        assert (resource.served, resource.busy_time) == (int(queued), float(queued))
+
+
+def _reference_use(resource, duration):
+    """``Resource.use`` written out as ``request()``, ``timeout(d)`` and
+    ``release()``: a queued waiter resumes at its grant and only then
+    starts its hold (a free slot is taken without an event, as in
+    ``use``)."""
+    if not resource.take_free_slot():
+        yield resource.request()
+    try:
+        if duration > 0:
+            yield resource.sim.timeout(duration)
+        resource.busy_time += duration
+        resource.served += 1
+    finally:
+        resource.release()
+
+
+def _plain_request_user(resource, duration):
+    """A waiter that queues with a bare ``request()`` event."""
+    yield resource.request()
+    try:
+        if duration > 0:
+            yield resource.sim.timeout(duration)
+    finally:
+        resource.release()
+
+
+def _run_scenario(use, capacity, scripts, resizes=()):
+    """Run ``scripts`` (per process: a list of ("use"|"request"|"wait",
+    seconds) steps) against one resource; returns the trace of every
+    resume as (process, step, time, queue length) in resume order, and
+    the resource's accounting."""
+    sim = Simulator()
+    resource = Resource(sim, capacity=capacity)
+    trace = []
+
+    def worker(tag, script):
+        for step, (action, seconds) in enumerate(script):
+            if action == "use":
+                yield from use(resource, seconds)
+            elif action == "request":
+                yield from _plain_request_user(resource, seconds)
+            else:
+                yield sim.timeout(seconds)
+            trace.append((tag, step, sim.now, resource.queue_length))
+
+    def resizer(at, capacity):
+        yield sim.timeout(at)
+        resource.set_capacity(capacity)
+        trace.append(("resize", capacity, sim.now, resource.queue_length))
+
+    for tag, script in enumerate(scripts):
+        sim.process(worker(tag, script))
+    for at, new_capacity in resizes:
+        sim.process(resizer(at, new_capacity))
+    sim.run()
+    accounting = (
+        resource.busy_time,
+        resource.grants,
+        resource.served,
+        resource.queue_wait_s_total,
+        resource.last_grant_wait_s,
+    )
+    return trace, accounting
+
+
+def _new_use(resource, duration):
+    return resource.use(duration)
+
+
+class TestGrantThenHold:
+    """A queued ``use`` resumes once, at the end of its hold, yet every
+    process resumes at the same times and in the same order as when it
+    resumed at its grant too. Times are binary fractions, so ties are
+    exact."""
+
+    SCENARIOS = {
+        "capacity-1-equal-service": (
+            1,
+            [[("use", 0.5), ("use", 0.5), ("wait", 0.0)] for _ in range(6)],
+            (),
+        ),
+        "capacity-2-same-instant": (
+            2,
+            [
+                [("use", 0.25 * (1 + tag % 2)), ("wait", 0.25), ("use", 0.5)]
+                for tag in range(7)
+            ],
+            (),
+        ),
+        "growth-grants-queued-holds": (
+            1,
+            [[("use", 1.0), ("use", 0.5)] for _ in range(5)],
+            ((1.0, 3), (2.0, 1), (2.5, 2)),
+        ),
+        "queued-zero-duration": (
+            1,
+            [
+                [("use", 0.0), ("use", 0.5), ("use", 0.0), ("wait", 0.0)]
+                for _ in range(4)
+            ]
+            + [[("wait", 0.5), ("use", 0.0), ("use", 0.0)] for _ in range(3)],
+            (),
+        ),
+        "plain-request-in-the-same-queue": (
+            2,
+            [
+                [("use", 0.5), ("request", 0.5), ("use", 0.25)]
+                if tag % 2
+                else [("request", 0.25), ("use", 0.5), ("request", 0.0)]
+                for tag in range(6)
+            ],
+            ((0.75, 3),),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_matches_request_timeout_release(self, name):
+        capacity, scripts, resizes = self.SCENARIOS[name]
+        trace, accounting = _run_scenario(_new_use, capacity, scripts, resizes)
+        expected = _run_scenario(_reference_use, capacity, scripts, resizes)
+        assert trace == expected[0]
+        assert accounting == expected[1]
+        # the scenario really queued and really tied
+        assert accounting[3] > 0.0
+        times = [entry[2] for entry in trace]
+        assert len(set(times)) < len(times)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_on_random_ties(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        actions = ("use", "use", "use", "request", "wait")
+        seconds = (0.0, 0.25, 0.5, 1.0)
+        scripts = [
+            [
+                (rng.choice(actions), rng.choice(seconds))
+                for _ in range(rng.randint(1, 5))
+            ]
+            for _ in range(rng.randint(2, 10))
+        ]
+        resizes = tuple(
+            (rng.choice(seconds) * 2, rng.randint(1, 3))
+            for _ in range(rng.randint(0, 2))
+        )
+        capacity = rng.randint(1, 3)
+        new = _run_scenario(_new_use, capacity, scripts, resizes)
+        assert new == _run_scenario(_reference_use, capacity, scripts, resizes)
+
+    def test_queued_use_resumes_once(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=1)
+        resumes = []
+
+        class Counting:
+            """A generator wrapper counting how often the kernel resumes
+            the process."""
+
+            def __init__(self, generator):
+                self.generator = generator
+
+            def send(self, value):
+                resumes.append(sim.now)
+                return self.generator.send(value)
+
+        def worker():
+            yield from resource.use(1.0)
+
+        sim.process(worker())
+        sim.process(Counting(worker()))
+        sim.run()
+        # start, then the end of the hold; no resume at the grant (t=1)
+        assert resumes == [0.0, 2.0]
+
+
+class _HeapOnly:
+    """Stands in for the kernel's ready queue so that every entry due
+    now goes onto the heap with a sequence number: the single-heap
+    kernel the ready queue must agree with."""
+
+    def __init__(self, sim):
+        self.sim = sim
+
+    def append(self, callback):
+        sim = self.sim
+        heappush(sim._heap, (sim.now, next(sim._sequence), callback))
+
+    def __bool__(self):
+        return False
+
+    def popleft(self):
+        raise AssertionError("the heap-only kernel never pops here")
+
+
+class TestReadyQueue:
+    """Entries due now run from a FIFO queue, after the heap entries due
+    at the same instant; the firing order must be the single heap's."""
+
+    @staticmethod
+    def _scenario(seed, heap_only):
+        import random
+
+        rng = random.Random(seed)
+        sim = Simulator()
+        if heap_only:
+            sim._ready = _HeapOnly(sim)
+        resource = Resource(sim, capacity=rng.randint(1, 2))
+        store = Store(sim)
+        gates = [sim.event() for _ in range(3)]
+        trace = []
+        delays = (0.0, 0.0, 0.25, 0.5)
+
+        def child(tag, delay):
+            yield sim.timeout(delay)
+            trace.append(("child", tag, sim.now))
+            return tag
+
+        def worker(tag):
+            for step in range(rng.randint(1, 6)):
+                kind = rng.randrange(7)
+                if kind == 0:
+                    yield sim.timeout(rng.choice(delays))
+                elif kind == 1:
+                    yield from resource.use(rng.choice(delays))
+                elif kind == 2:
+                    got = yield sim.all_of(
+                        [sim.process(child(tag * 10 + i, rng.choice(delays)))
+                         for i in range(rng.randint(0, 3))]
+                    )
+                    trace.append(("all", tag, tuple(got)))
+                elif kind == 3:
+                    got = yield sim.any_of(
+                        [sim.process(child(tag * 10 + i, rng.choice(delays)))
+                         for i in range(2)]
+                    )
+                    trace.append(("any", tag, got))
+                elif kind == 4:
+                    store.put((tag, step))
+                    item = yield store.get()
+                    trace.append(("got", tag, item))
+                elif kind == 5:
+                    gate = gates[rng.randrange(len(gates))]
+                    if not gate.triggered:
+                        gate.succeed(tag)
+                    got = yield gate
+                    trace.append(("gate", tag, got))
+                else:
+                    got = yield sim.process(child(tag * 10, rng.choice(delays)))
+                    trace.append(("joined", tag, got))
+                trace.append((tag, step, sim.now, resource.queue_length))
+
+        for tag in range(rng.randint(2, 8)):
+            sim.process(worker(tag))
+        sim.run(until=rng.choice((0.5, 1.0, 100.0)))
+        return trace, sim.now, resource.grants, resource.queue_wait_s_total
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_single_heap_order(self, seed):
+        assert self._scenario(seed, heap_only=False) == self._scenario(
+            seed, heap_only=True
+        )
+
+    def test_heap_entry_due_now_runs_before_the_ready_queue(self):
+        sim = Simulator()
+        trace = []
+
+        def sleeper():
+            yield sim.timeout(1.0)
+            trace.append("timer")
+
+        def waker():
+            yield sim.timeout(1.0)
+            # queued at t=1, after the sleeper's timer (pushed at t=0)
+            sim.event().succeed().add_callback(lambda _e: trace.append("now"))
+            trace.append("waker")
+
+        sim.process(waker())
+        sim.process(sleeper())
+        sim.run()
+        assert trace == ["waker", "timer", "now"]
 
 class TestStore:
     def test_fifo(self):
