@@ -40,7 +40,6 @@ Package map:
 * :mod:`repro.baselines` — gRPC+Envoy mesh and hand-written mRPC modules.
 * :mod:`repro.control` — mini cluster manager, controller, placement
   solver, autoscaler.
-* :mod:`repro.elements` — the element catalog.
 """
 
 from .compiler import AdnCompiler, CompiledApp, CompiledChain, CompiledElement

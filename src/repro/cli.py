@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .compiler.compiler import AdnCompiler
 from .control.placement import ClusterSpec, PlacementRequest, solve_placement
@@ -97,6 +98,42 @@ def _fails(diagnostics, threshold) -> bool:
         diagnostic.severity.rank >= threshold.rank
         for diagnostic in diagnostics
     )
+
+
+def _checked(cast, accept, requirement: str):
+    """An argparse ``type=``: ``cast`` the text, then require
+    ``accept(value)``; anything else is a usage error (exit 2)."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
+#: counts (--rpcs, --concurrency, --trials), sizes (--table-rows,
+#: --events), and durations and load multiples of the harness commands
+_count = _checked(int, lambda value: value >= 1, "must be an integer >= 1")
+_size = _checked(int, lambda value: value >= 0, "must be an integer >= 0")
+_positive_float = _checked(
+    float,
+    lambda value: math.isfinite(value) and value > 0,
+    "must be a finite number > 0",
+)
+
+
+def _multipliers(text: str) -> Tuple[float, ...]:
+    """argparse ``type=`` for ``--multipliers``: a non-empty
+    comma-separated list of finite, positive load multiples."""
+    parts = [part for part in text.split(",") if part.strip()]
+    if not parts:
+        raise argparse.ArgumentTypeError("needs at least one multiplier")
+    return tuple(_positive_float(part) for part in parts)
 
 
 def _graph_spec_diagnostics(args, program, schema, spec: str):
@@ -524,7 +561,6 @@ def cmd_bench(args) -> int:
 def cmd_faults(args) -> int:
     from .faults import (
         default_crash_plan,
-        default_retry_policy,
         load_fault_plan,
         run_recovery_scenario,
     )
@@ -547,7 +583,6 @@ def cmd_faults(args) -> int:
         concurrency=args.concurrency,
         table_rows=args.table_rows,
         fault_plan=plan,
-        retry_policy=default_retry_policy(seed=args.seed),
     )
     metrics = result.metrics
     stats = result.stack.retry_stats
@@ -695,11 +730,8 @@ def cmd_overload(args) -> int:
         run_overload_sweep,
     )
 
-    multipliers = tuple(
-        float(part) for part in args.multipliers.split(",") if part.strip()
-    )
     config = SweepConfig(
-        multipliers=multipliers,
+        multipliers=args.multipliers,
         duration_s=args.duration,
         seed=args.seed,
     )
@@ -711,7 +743,7 @@ def cmd_overload(args) -> int:
     print()
     baseline_peak = max(p.goodput_rps for p in baseline)
     protected_peak = max(p.goodput_rps for p in protected)
-    at_max = multipliers[-1]
+    at_max = config.multipliers[-1]
     base_end = baseline[-1].goodput_rps
     prot_end = protected[-1].goodput_rps
     print(
@@ -745,18 +777,15 @@ def cmd_offload(args) -> int:
         run_offload_comparison,
     )
 
-    multipliers = tuple(
-        float(part) for part in args.multipliers.split(",") if part.strip()
-    )
     config = OffloadSweepConfig(
-        multipliers=multipliers,
+        multipliers=args.multipliers,
         duration_s=args.duration,
         seed=args.seed,
     )
     results = run_offload_comparison(config)
     print(format_comparison(results))
     print()
-    at_max = multipliers[-1]
+    at_max = config.multipliers[-1]
     server_end = results["server"][-1]
     nic_end = results["nic"][-1]
     print(
@@ -1065,8 +1094,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--system", choices=["adn", "envoy", "grpc"], default="adn"
     )
-    bench.add_argument("--concurrency", type=int, default=128)
-    bench.add_argument("--rpcs", type=int, default=4000)
+    bench.add_argument("--concurrency", type=_count, default=128)
+    bench.add_argument("--rpcs", type=_count, default=4000)
     add_fields(bench)
     bench.set_defaults(func=cmd_bench)
 
@@ -1079,10 +1108,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault plan JSON (default: crash stats-host at --crash-at)",
     )
     faults.add_argument("--seed", type=int, default=1)
-    faults.add_argument("--rpcs", type=int, default=3000)
-    faults.add_argument("--concurrency", type=int, default=4)
+    faults.add_argument("--rpcs", type=_count, default=3000)
+    faults.add_argument("--concurrency", type=_count, default=4)
     faults.add_argument(
-        "--table-rows", type=int, default=500,
+        "--table-rows", type=_size, default=500,
         help="resident state rows that predate the workload",
     )
     faults.add_argument(
@@ -1100,15 +1129,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded multi-fault soak with controller failover and "
         "epoch fencing; exits nonzero on any split-brain application",
     )
-    chaos.add_argument("--trials", type=int, default=5)
+    chaos.add_argument("--trials", type=_count, default=5)
     chaos.add_argument("--seed", type=int, default=0, help="base seed")
     chaos.add_argument(
-        "--events", type=int, default=3,
+        "--events", type=_size, default=3,
         help="overlapping faults per trial",
     )
-    chaos.add_argument("--rpcs", type=int, default=800)
+    chaos.add_argument("--rpcs", type=_count, default=800)
     chaos.add_argument(
-        "--horizon", type=float, default=2.0, metavar="SECONDS",
+        "--horizon", type=_positive_float, default=2.0, metavar="SECONDS",
         help="per-trial simulated horizon",
     )
     chaos.add_argument(
@@ -1130,10 +1159,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="goodput sweep: baseline collapse vs protected degradation",
     )
     overload.add_argument(
-        "--multipliers", default="0.5,1.0,1.5,3.0",
+        "--multipliers", type=_multipliers, default="0.5,1.0,1.5,3.0",
         help="offered-load multiples of nominal capacity",
     )
-    overload.add_argument("--duration", type=float, default=0.1)
+    overload.add_argument("--duration", type=_positive_float, default=0.1)
     overload.add_argument("--seed", type=int, default=1)
     overload.add_argument(
         "--json", metavar="OUT",
@@ -1147,10 +1176,10 @@ def build_parser() -> argparse.ArgumentParser:
         "running the chain's offloadable prefix",
     )
     offload.add_argument(
-        "--multipliers", default="0.5,1.0,2.0,3.0",
+        "--multipliers", type=_multipliers, default="0.5,1.0,2.0,3.0",
         help="offered-load multiples of nominal capacity",
     )
-    offload.add_argument("--duration", type=float, default=0.1)
+    offload.add_argument("--duration", type=_positive_float, default=0.1)
     offload.add_argument("--seed", type=int, default=1)
     offload.add_argument(
         "--json", metavar="OUT",

@@ -38,44 +38,36 @@ bit-identical signatures.
 from __future__ import annotations
 
 import hashlib
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..compiler.compiler import AdnCompiler
-from ..dsl.ast_nodes import ChainDecl, ColumnDef, StateDecl
-from ..dsl.functions import FunctionRegistry
-from ..dsl.parser import parse
+from ..dsl.ast_nodes import ColumnDef, StateDecl
 from ..dsl.schema import FieldType
-from ..dsl.stdlib import load_stdlib
-from ..dsl.validator import validate_program
 from ..faults.detector import HeartbeatFailureDetector
-from ..faults.injector import FaultInjector, TimelineEntry
 from ..faults.plan import FAULT_KINDS, FaultPlan, random_multi_fault_plan
-from ..platforms import Platform
-from ..runtime.filters import RetryPolicy
-from ..runtime.message import reset_rpc_ids
-from ..runtime.mrpc import AdnMrpcStack
-from ..runtime.processor import PlacementPlan, PlacementSegment
-from ..runtime.telemetry import TelemetryCollector
-from ..sim.cluster import Cluster, Simulator, two_machine_cluster
+from ..faults.scenario import (
+    SCENARIO_SCHEMA,
+    STATS_MACHINE,
+    TallyWorld,
+    _build_tally_world,
+)
+from ..sim.cluster import Cluster, Simulator
 from ..sim.engine import SimulationError
-from ..sim.workload import ClosedLoopClient
 from ..state.checkpoint import Checkpointer
 from ..state.table import StateStore
 from .controller import RecoveryOrchestrator, RecoveryReport
-from .placement import ClusterSpec
-
-# NOTE: repro.faults.scenario imports repro.control.controller, so this
-# module must not import from it at module scope (circular); the
-# scenario helpers are imported inside the functions that need them.
-
-#: the stateful data host (mirrors repro.faults.scenario.STATS_MACHINE)
-STATS_MACHINE = "stats-host"
 
 #: the controller pair's machine names in the scenario cluster
 CTRL_A = "ctrl-a"
 CTRL_B = "ctrl-b"
+
+#: resident tally rows that predate the workload
+TABLE_ROWS = 200
+#: how often the controller pair renews the lease or takes it over
+RENEW_INTERVAL_S = 0.01
+#: controller-side re-solve/push latency: the window a controller crash
+#: or partition can land in
+PRE_APPLY_DELAY_S = 0.01
 
 #: the journal's element name under the checkpointer
 JOURNAL_ELEMENT = "recovery-journal"
@@ -127,14 +119,14 @@ class LeaseStore:
 # -- the recovery journal ----------------------------------------------------
 
 
-class RecoveryJournal:
+class RecoveryJournal(StateStore):
     """Write-ahead record of recoveries, as a state store.
 
-    Implements the same store protocol element state does (``tables`` /
-    ``vars`` / ``table()``), so the existing delta-log
-    :class:`Checkpointer` replicates it to the warm standby with zero
-    new machinery: ``open()`` and ``close()`` are ordinary keyed-table
-    writes, and they stream out with the next checkpoint tick."""
+    It is an ordinary element-state :class:`StateStore` with one keyed
+    table, so the existing delta-log :class:`Checkpointer` replicates it
+    to the warm standby with zero new machinery: ``open()`` and
+    ``close()`` are ordinary keyed-table writes, and they stream out
+    with the next checkpoint tick."""
 
     def __init__(self) -> None:
         decl = StateDecl(
@@ -145,19 +137,7 @@ class RecoveryJournal:
                 ColumnDef(name="status", type=FieldType.STR),
             ),
         )
-        self._store = StateStore([decl], {})
-
-    # the StateStore protocol the checkpointer consumes
-    @property
-    def tables(self):
-        return self._store.tables
-
-    @property
-    def vars(self):
-        return self._store.vars
-
-    def table(self, name: str):
-        return self._store.table(name)
+        super().__init__([decl], {})
 
     # journal semantics
     def open(self, machine: str, suspected_at: float) -> None:
@@ -266,21 +246,27 @@ class ControllerPair:
         sim: Simulator,
         lease: LeaseStore,
         nodes: List[ControllerNode],
-        checkpointer: Optional[Checkpointer] = None,
-        detector: Optional[HeartbeatFailureDetector] = None,
-        renew_interval_s: float = 0.01,
+        checkpointer: Checkpointer,
+        detector: HeartbeatFailureDetector,
     ):
         self.sim = sim
         self.lease = lease
         self.nodes = nodes
         self.checkpointer = checkpointer
         self.detector = detector
-        self.renew_interval_s = renew_interval_s
         self.failovers: List[FailoverReport] = []
         self.dropped_suspicions = 0
         # bootstrap: the first node starts as leader (term 1)
         term = lease.acquire(nodes[0].name)
         nodes[0].term = term if term is not None else 0
+        # the leader's journal is checkpointed exactly like element
+        # state: its delta log streams to the warm standby on the same
+        # cadence
+        checkpointer.watch(
+            JOURNAL_ELEMENT,
+            nodes[0].journal,
+            live_of=lambda n=nodes[0]: n.up and n.reachable,
+        )
 
     def leader(self) -> Optional[ControllerNode]:
         for node in self.nodes:
@@ -301,7 +287,7 @@ class ControllerPair:
         """Simulation process: lease renewal and takeover on a tick."""
         deadline = self.sim.now + duration_s
         while self.sim.now < deadline:
-            yield self.sim.timeout(self.renew_interval_s)
+            yield self.sim.timeout(RENEW_INTERVAL_S)
             for node in self.nodes:
                 if not (node.up and node.reachable):
                     continue
@@ -320,21 +306,14 @@ class ControllerPair:
     def _takeover(self, node: ControllerNode):
         started = self.sim.now
         node.takeovers += 1
-        rows = deltas = 0
-        if (
-            self.checkpointer is not None
-            and JOURNAL_ELEMENT in getattr(self.checkpointer, "_watches", {})
-        ):
-            restore = yield self.sim.process(
-                self.checkpointer.restore(JOURNAL_ELEMENT, node.journal)
-            )
-            rows = restore.rows_restored
-            deltas = restore.deltas_replayed
-            self.checkpointer.retarget(
-                JOURNAL_ELEMENT,
-                node.journal,
-                live_of=lambda n=node: n.up and n.reachable,
-            )
+        restore = yield self.sim.process(
+            self.checkpointer.restore(JOURNAL_ELEMENT, node.journal)
+        )
+        self.checkpointer.retarget(
+            JOURNAL_ELEMENT,
+            node.journal,
+            live_of=lambda n=node: n.up and n.reachable,
+        )
         resumed: List[str] = []
         if node.orchestrator is not None:
             for machine, suspected_at in node.journal.open_entries():
@@ -343,7 +322,7 @@ class ControllerPair:
         # suspicions raised while no leader was reachable were dropped;
         # the detector still holds them — sweep what is still standing
         swept: List[str] = []
-        if self.detector is not None and node.orchestrator is not None:
+        if node.orchestrator is not None:
             for machine in sorted(self.detector.suspects):
                 if machine in resumed:
                     continue
@@ -357,8 +336,8 @@ class ControllerPair:
                 term=node.term,
                 resumed=tuple(resumed),
                 swept=tuple(swept),
-                journal_rows_restored=rows,
-                journal_deltas_replayed=deltas,
+                journal_rows_restored=restore.rows_restored,
+                journal_deltas_replayed=restore.deltas_replayed,
             )
         )
 
@@ -367,23 +346,12 @@ class ControllerPair:
 
 
 @dataclass
-class ResilienceResult:
+class ResilienceResult(TallyWorld):
     """Everything the resilience tests and benchmarks assert on."""
 
-    sim: Simulator
-    cluster: Cluster
-    stack: AdnMrpcStack
-    metrics: object  # RunMetrics
-    fault_plan: FaultPlan
-    timeline: List[TimelineEntry]
-    detector: HeartbeatFailureDetector
-    checkpointer: Checkpointer
-    telemetry: TelemetryCollector
-    injector: FaultInjector
     lease: LeaseStore
     pair: ControllerPair
     nodes: List[ControllerNode]
-    total_rpcs: int = 0
     #: the workload hit the simulation-time limit before completing
     #: (the orphaned-mesh signature of the no-failover baseline)
     timed_out: bool = False
@@ -430,22 +398,6 @@ class ResilienceResult:
             if node.orchestrator is not None
         )
 
-    def tally_hits(self) -> int:
-        store = self._tally_store()
-        if store is None:
-            return 0
-        return sum(
-            int(row["hits"])
-            for row in store.table("tally").rows()
-            if str(row["username"]).startswith("user")
-        )
-
-    def _tally_store(self):
-        for processor in self.stack.processors:
-            if "SessionTally" in processor.segment.elements:
-                return processor.element_state("SessionTally")
-        return None
-
     def signature(self) -> str:
         """A deterministic digest of everything observable: equal
         signatures mean bit-identical replays."""
@@ -481,24 +433,11 @@ class ResilienceResult:
 def run_control_resilience_scenario(
     seed: int = 1,
     total_rpcs: int = 3000,
-    concurrency: int = 4,
-    table_rows: int = 200,
-    key_space: int = 16,
     fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    telemetry_interval_s: float = 0.005,
-    stream_interval_s: float = 0.002,
-    fold_every: int = 4,
     horizon_s: float = 2.0,
-    strategy: str = "software",
     standby: bool = True,
     fence_epochs: bool = True,
-    lease_duration_s: float = 0.03,
-    renew_interval_s: float = 0.01,
-    pre_apply_delay_s: float = 0.01,
     gray_factor: float = 0.0,
-    gray_consecutive: int = 3,
-    gray_min_samples: int = 5,
     client_think_s: float = 0.0,
     run_limit_s: Optional[float] = None,
 ) -> ResilienceResult:
@@ -507,172 +446,56 @@ def run_control_resilience_scenario(
     ``ctrl-a`` (leader) and optionally ``ctrl-b`` (warm standby) drive
     detection and recovery under a lease, a journal, and epoch-fenced
     plan pushes. Fully deterministic in ``seed`` and the plan."""
-    from ..faults.scenario import (
-        SCENARIO_SCHEMA,
-        SESSION_TALLY_SOURCE,
-        default_crash_plan,
-        default_retry_policy,
-    )
-
-    reset_rpc_ids()
-    plan = fault_plan if fault_plan is not None else default_crash_plan(seed=seed)
-    policy = retry_policy or default_retry_policy(seed=seed)
-
-    sim = Simulator()
-    cluster = two_machine_cluster(sim)
-    cluster.add_machine(STATS_MACHINE)
-    cluster.add_machine(CTRL_A)
-    cluster.add_machine(CTRL_B)
-
-    registry = FunctionRegistry(rng=random.Random(seed))
-    program = load_stdlib().merged(parse(SESSION_TALLY_SOURCE))
-    program = validate_program(
-        program, schema=SCENARIO_SCHEMA, registry=registry
-    )
-    compiler = AdnCompiler(registry=registry)
-    chain = compiler.compile_chain(
-        ChainDecl(src="A", dst="B", elements=("SessionTally",)),
-        program,
-        SCENARIO_SCHEMA,
-    )
-    placement = PlacementPlan(
-        segments=[
-            PlacementSegment(
-                platform=Platform.MRPC,
-                machine=STATS_MACHINE,
-                elements=("SessionTally",),
-            )
-        ],
-        description=f"SessionTally on {STATS_MACHINE} (pre-fault)",
-    )
-    stack = AdnMrpcStack(
-        sim,
-        cluster,
-        chain,
-        SCENARIO_SCHEMA,
-        registry,
-        plan=placement,
-        retry_policy=policy,
-    )
-    stack.fence_epochs = fence_epochs
-
-    store = stack.processors[0].element_state("SessionTally")
-    for index in range(table_rows):
-        store.table("tally").insert_values([f"resident{index}", 1])
-
-    checkpointer = Checkpointer(
-        sim, stream_interval_s=stream_interval_s, fold_every=fold_every
-    )
-    checkpointer.watch(
-        "SessionTally",
-        store,
-        live_of=lambda: cluster.machine_up(STATS_MACHINE),
-    )
-
-    telemetry = TelemetryCollector(sim, interval_s=telemetry_interval_s)
-    telemetry.register_stack(stack)
-    detector = HeartbeatFailureDetector(
-        sim,
-        heartbeat_interval_s=telemetry_interval_s,
+    world = _build_tally_world(
+        seed,
+        total_rpcs,
+        TABLE_ROWS,
+        fault_plan,
+        horizon_s,
         gray_factor=gray_factor,
-        gray_consecutive=gray_consecutive,
-        gray_min_samples=gray_min_samples,
+        client_think_s=client_think_s,
     )
-    telemetry.add_sink(detector.sink)
-    for _, machine in stack.plan.element_locations().values():
-        detector.expect(machine)
+    sim, stack, detector = world.sim, world.stack, world.detector
+    world.cluster.add_machine(CTRL_A)
+    world.cluster.add_machine(CTRL_B)
+    stack.fence_epochs = fence_epochs
+    world.injector.register_detector(detector)
 
-    injector = FaultInjector(sim, cluster)
-    injector.register_stack(stack)
-    injector.register_detector(detector)
-
-    lease = LeaseStore(sim, duration_s=lease_duration_s)
-    nodes = [ControllerNode(CTRL_A, sim, cluster, lease)]
+    lease = LeaseStore(sim)
+    nodes = [ControllerNode(CTRL_A, sim, world.cluster, lease)]
     if standby:
-        nodes.append(ControllerNode(CTRL_B, sim, cluster, lease))
+        nodes.append(ControllerNode(CTRL_B, sim, world.cluster, lease))
     for node in nodes:
         node.orchestrator = RecoveryOrchestrator(
             sim,
             stack,
             SCENARIO_SCHEMA,
-            cluster_spec=ClusterSpec(),
-            strategy=strategy,
-            checkpointer=checkpointer,
-            telemetry=telemetry,
+            checkpointer=world.checkpointer,
+            telemetry=world.telemetry,
             detector=detector,
-            crash_times=injector.crash_times,
+            crash_times=world.injector.crash_times,
             epoch_source=node.mint_epoch,
             alive_fn=lambda n=node: n.up,
             push_ok_fn=lambda n=node: n.reachable,
-            pre_apply_delay_s=pre_apply_delay_s,
+            pre_apply_delay_s=PRE_APPLY_DELAY_S,
             journal=node.journal,
         )
-    pair = ControllerPair(
-        sim,
-        lease,
-        nodes,
-        checkpointer=checkpointer,
-        detector=detector,
-        renew_interval_s=renew_interval_s,
-    )
-    # the leader's journal is checkpointed exactly like element state:
-    # its delta log streams to the warm standby on the same cadence
-    checkpointer.watch(
-        JOURNAL_ELEMENT,
-        nodes[0].journal,
-        live_of=lambda n=nodes[0]: n.up and n.reachable,
-    )
+    pair = ControllerPair(sim, lease, nodes, world.checkpointer, detector)
     detector.on_suspect(pair.suspect_sink)
-
-    sim.process(telemetry.run(horizon_s))
-    sim.process(detector.run(horizon_s))
-    sim.process(checkpointer.run(horizon_s))
-    sim.process(injector.run(plan))
     sim.process(pair.run(horizon_s))
 
-    def fields(rng: random.Random, index: int):
-        return {
-            "payload": b"x" * 64,
-            "username": f"user{rng.randrange(key_space)}",
-            "obj_id": rng.randrange(1 << 12),
-        }
-
-    client = ClosedLoopClient(
-        sim,
-        stack.call,
-        concurrency=concurrency,
-        total_rpcs=total_rpcs,
-        seed=seed,
-        fields_fn=fields,
-        think_s=client_think_s,
-    )
     limit = run_limit_s if run_limit_s is not None else max(horizon_s * 4, 8.0)
     timed_out = False
     try:
-        metrics = client.run(limit_s=limit)
+        world.client.run(limit_s=limit)
     except SimulationError:
         # an orphaned mesh never finishes the workload: the baseline
         # without failover is *supposed* to end up here
         timed_out = True
-        metrics = client.metrics
-        metrics.elapsed_s = sim.now
+        world.metrics.elapsed_s = sim.now
 
     return ResilienceResult(
-        sim=sim,
-        cluster=cluster,
-        stack=stack,
-        metrics=metrics,
-        fault_plan=plan,
-        timeline=list(injector.timeline),
-        detector=detector,
-        checkpointer=checkpointer,
-        telemetry=telemetry,
-        injector=injector,
-        lease=lease,
-        pair=pair,
-        nodes=nodes,
-        total_rpcs=total_rpcs,
-        timed_out=timed_out,
+        **vars(world), lease=lease, pair=pair, nodes=nodes, timed_out=timed_out
     )
 
 
@@ -739,26 +562,14 @@ def run_chaos_trial(
 
 
 def run_chaos_soak(
-    trials: int = 10,
-    base_seed: int = 0,
-    horizon_s: float = 2.0,
-    events: int = 3,
-    total_rpcs: int = 800,
-    standby: bool = True,
-    fence_epochs: bool = True,
+    trials: int = 10, base_seed: int = 0, **trial_options
 ) -> Dict[str, object]:
-    """N seeded multi-fault trials plus the soak-level invariants: the
-    split-brain counter (stale plans *applied*) must be zero across the
-    whole soak whenever fencing is on."""
+    """N seeded multi-fault trials (seeds ``base_seed`` onwards, each a
+    :func:`run_chaos_trial` with ``trial_options``) plus the soak-level
+    invariants: the split-brain counter (stale plans *applied*) must be
+    zero across the whole soak whenever fencing is on."""
     results = [
-        run_chaos_trial(
-            base_seed + index,
-            horizon_s=horizon_s,
-            events=events,
-            total_rpcs=total_rpcs,
-            standby=standby,
-            fence_epochs=fence_epochs,
-        )
+        run_chaos_trial(base_seed + index, **trial_options)
         for index in range(trials)
     ]
     return {

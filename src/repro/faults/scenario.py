@@ -23,12 +23,10 @@ end to end:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional
 
 from ..compiler.compiler import AdnCompiler
-from ..control.controller import RecoveryOrchestrator, RecoveryReport
-from ..control.placement import ClusterSpec
 from ..dsl.ast_nodes import ChainDecl
 from ..dsl.functions import FunctionRegistry
 from ..dsl.parser import parse
@@ -42,14 +40,27 @@ from ..runtime.message import reset_rpc_ids
 from ..runtime.processor import PlacementPlan, PlacementSegment
 from ..runtime.telemetry import TelemetryCollector
 from ..sim.cluster import Cluster, Simulator, two_machine_cluster
+from ..sim.metrics import RunMetrics
 from ..sim.workload import ClosedLoopClient
-from ..state.checkpoint import Checkpointer, CheckpointTiming
+from ..state.checkpoint import Checkpointer
 from .detector import HeartbeatFailureDetector
 from .injector import FaultInjector, TimelineEntry
 from .plan import MACHINE_CRASH, FaultEvent, FaultPlan
 
+if TYPE_CHECKING:
+    from ..control.controller import RecoveryOrchestrator, RecoveryReport
+
 #: the machine the stateful element lives on pre-fault
 STATS_MACHINE = "stats-host"
+
+#: the workload's users: each RPC bumps one of these tally keys
+KEY_SPACE = 16
+#: telemetry window, which is also the detector's heartbeat interval
+TELEMETRY_INTERVAL_S = 0.005
+#: how often the checkpointer streams the tally's delta log
+STREAM_INTERVAL_S = 0.002
+#: how long the recovery scenario's background processes run
+HORIZON_S = 2.0
 
 SCENARIO_SCHEMA = RpcSchema.of(
     "t",
@@ -78,20 +89,12 @@ element SessionTally {
 """
 
 
-def default_crash_plan(
-    seed: int = 1,
-    crash_at_s: float = 0.01,
-    restart_after_s: Optional[float] = None,
-) -> FaultPlan:
-    """Crash ``stats-host``; optionally restart it later (recovery has
-    long re-homed the element by then)."""
+def default_crash_plan(seed: int = 1, crash_at_s: float = 0.01) -> FaultPlan:
+    """Crash ``stats-host`` for good (recovery re-homes the element)."""
     return FaultPlan(
         events=[
             FaultEvent(
-                at_s=crash_at_s,
-                kind=MACHINE_CRASH,
-                target=STATS_MACHINE,
-                duration_s=restart_after_s,
+                at_s=crash_at_s, kind=MACHINE_CRASH, target=STATS_MACHINE
             )
         ],
         seed=seed,
@@ -113,26 +116,30 @@ def default_retry_policy(seed: int = 1) -> RetryPolicy:
 
 
 @dataclass
-class ScenarioResult:
-    """Everything the callers assert on or print."""
+class TallyWorld:
+    """The SessionTally world both scenario runners share: the cluster
+    with ``stats-host``, the stack running the tally there, the
+    checkpointer, telemetry, failure detector and fault injector, and
+    the closed-loop client that drives it (run by the caller)."""
 
     sim: Simulator
     cluster: Cluster
     stack: AdnMrpcStack
-    metrics: object  # RunMetrics
     fault_plan: FaultPlan
-    timeline: List[TimelineEntry]
-    detector: HeartbeatFailureDetector
-    orchestrator: RecoveryOrchestrator
     checkpointer: Checkpointer
     telemetry: TelemetryCollector
-    total_rpcs: int = 0
-    table_rows: int = 0
+    detector: HeartbeatFailureDetector
+    injector: FaultInjector
+    client: ClosedLoopClient
+    total_rpcs: int
 
     @property
-    def report(self) -> Optional[RecoveryReport]:
-        reports = self.orchestrator.reports
-        return reports[0] if reports else None
+    def metrics(self) -> RunMetrics:
+        return self.client.metrics
+
+    @property
+    def timeline(self) -> List[TimelineEntry]:
+        return self.injector.timeline
 
     def tally_hits(self) -> int:
         """Total hits currently recorded by the (possibly re-homed)
@@ -153,31 +160,24 @@ class ScenarioResult:
         return None
 
 
-def run_recovery_scenario(
-    seed: int = 1,
-    total_rpcs: int = 3000,
+def _build_tally_world(
+    seed: int,
+    total_rpcs: int,
+    table_rows: int,
+    fault_plan: Optional[FaultPlan],
+    horizon_s: float,
     concurrency: int = 4,
-    table_rows: int = 500,
-    key_space: int = 16,
-    fault_plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
-    telemetry_interval_s: float = 0.005,
-    stream_interval_s: float = 0.002,
     fold_every: int = 4,
-    checkpoint_timing: Optional[CheckpointTiming] = None,
-    horizon_s: float = 2.0,
-    strategy: str = "software",
-    circuit_breaker=None,
-    retry_budget=None,
-    queue_limit: Optional[int] = None,
+    gray_factor: float = 0.0,
     client_think_s: float = 0.0,
-) -> ScenarioResult:
-    """Build the scenario, run it to completion, return the evidence.
-
-    Fully deterministic in ``seed`` (plus the fault plan's own seed):
-    identical inputs reproduce identical timelines, metrics, and
-    recovery reports.
-    """
+    **protection,
+) -> TallyWorld:
+    """Build the shared world and start its background processes
+    (telemetry, detector, checkpointer, fault injector, in that order)
+    for ``horizon_s``. ``protection`` (breaker, retry budget, queue
+    limit) goes to the stack. The caller wires a controller to
+    ``detector.on_suspect`` and runs ``client``."""
     reset_rpc_ids()
     plan = fault_plan or default_crash_plan(seed=seed)
     policy = retry_policy or default_retry_policy(seed=seed)
@@ -215,9 +215,7 @@ def run_recovery_scenario(
         registry,
         plan=placement,
         retry_policy=policy,
-        circuit_breaker=circuit_breaker,
-        retry_budget=retry_budget,
-        queue_limit=queue_limit,
+        **protection,
     )
 
     # resident state: rows that predate the workload. They ride the
@@ -228,10 +226,7 @@ def run_recovery_scenario(
         store.table("tally").insert_values([f"resident{index}", 1])
 
     checkpointer = Checkpointer(
-        sim,
-        stream_interval_s=stream_interval_s,
-        fold_every=fold_every,
-        timing=checkpoint_timing,
+        sim, stream_interval_s=STREAM_INTERVAL_S, fold_every=fold_every
     )
     checkpointer.watch(
         "SessionTally",
@@ -239,10 +234,10 @@ def run_recovery_scenario(
         live_of=lambda: cluster.machine_up(STATS_MACHINE),
     )
 
-    telemetry = TelemetryCollector(sim, interval_s=telemetry_interval_s)
+    telemetry = TelemetryCollector(sim, interval_s=TELEMETRY_INTERVAL_S)
     telemetry.register_stack(stack)
     detector = HeartbeatFailureDetector(
-        sim, heartbeat_interval_s=telemetry_interval_s
+        sim, heartbeat_interval_s=TELEMETRY_INTERVAL_S, gray_factor=gray_factor
     )
     telemetry.add_sink(detector.sink)
     for _, machine in stack.plan.element_locations().values():
@@ -251,30 +246,15 @@ def run_recovery_scenario(
     injector = FaultInjector(sim, cluster)
     injector.register_stack(stack)
 
-    orchestrator = RecoveryOrchestrator(
-        sim,
-        stack,
-        SCENARIO_SCHEMA,
-        cluster_spec=ClusterSpec(),
-        strategy=strategy,
-        checkpointer=checkpointer,
-        telemetry=telemetry,
-        detector=detector,
-        crash_times=injector.crash_times,
-    )
-    detector.on_suspect(orchestrator.suspect_sink)
-
     sim.process(telemetry.run(horizon_s))
     sim.process(detector.run(horizon_s))
     sim.process(checkpointer.run(horizon_s))
     sim.process(injector.run(plan))
 
-    workload_rng_tag = key_space  # closed over below
-
     def fields(rng: random.Random, index: int):
         return {
             "payload": b"x" * 64,
-            "username": f"user{rng.randrange(workload_rng_tag)}",
+            "username": f"user{rng.randrange(KEY_SPACE)}",
             "obj_id": rng.randrange(1 << 12),
         }
 
@@ -287,19 +267,82 @@ def run_recovery_scenario(
         fields_fn=fields,
         think_s=client_think_s,
     )
-    metrics = client.run(limit_s=max(horizon_s * 4, 30.0))
-
-    return ScenarioResult(
+    return TallyWorld(
         sim=sim,
         cluster=cluster,
         stack=stack,
-        metrics=metrics,
         fault_plan=plan,
-        timeline=list(injector.timeline),
-        detector=detector,
-        orchestrator=orchestrator,
         checkpointer=checkpointer,
         telemetry=telemetry,
+        detector=detector,
+        injector=injector,
+        client=client,
         total_rpcs=total_rpcs,
-        table_rows=table_rows,
+    )
+
+
+@dataclass
+class ScenarioResult(TallyWorld):
+    """Everything the callers assert on or print."""
+
+    orchestrator: RecoveryOrchestrator
+    table_rows: int
+
+    @property
+    def report(self) -> Optional[RecoveryReport]:
+        reports = self.orchestrator.reports
+        return reports[0] if reports else None
+
+
+def run_recovery_scenario(
+    seed: int = 1,
+    total_rpcs: int = 3000,
+    concurrency: int = 4,
+    table_rows: int = 500,
+    fault_plan: Optional[FaultPlan] = None,
+    retry_policy: Optional[RetryPolicy] = None,
+    fold_every: int = 4,
+    circuit_breaker=None,
+    retry_budget=None,
+    queue_limit: Optional[int] = None,
+    client_think_s: float = 0.0,
+) -> ScenarioResult:
+    """Build the scenario, run it to completion, return the evidence.
+
+    One :class:`~repro.control.controller.RecoveryOrchestrator` acts on
+    the detector's suspicions. Fully deterministic in ``seed`` (plus
+    the fault plan's own seed): identical inputs reproduce identical
+    timelines, metrics, and recovery reports.
+    """
+    # repro.control.resilience builds on this module, so the controller
+    # package is imported where it is used, not at module scope
+    from ..control.controller import RecoveryOrchestrator
+
+    world = _build_tally_world(
+        seed,
+        total_rpcs,
+        table_rows,
+        fault_plan,
+        HORIZON_S,
+        concurrency=concurrency,
+        retry_policy=retry_policy,
+        fold_every=fold_every,
+        client_think_s=client_think_s,
+        circuit_breaker=circuit_breaker,
+        retry_budget=retry_budget,
+        queue_limit=queue_limit,
+    )
+    orchestrator = RecoveryOrchestrator(
+        world.sim,
+        world.stack,
+        SCENARIO_SCHEMA,
+        checkpointer=world.checkpointer,
+        telemetry=world.telemetry,
+        detector=world.detector,
+        crash_times=world.injector.crash_times,
+    )
+    world.detector.on_suspect(orchestrator.suspect_sink)
+    world.client.run(limit_s=30.0)
+    return ScenarioResult(
+        **vars(world), orchestrator=orchestrator, table_rows=table_rows
     )

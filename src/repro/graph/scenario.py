@@ -51,6 +51,16 @@ MESH_SCHEMA = RpcSchema.of(
 )
 
 
+#: per-element dispatch cost (us) of the scenario's cluster, inflated
+#: like the overload sweep's so capacity is bounded
+SERVICE_COST_US = 36.0
+#: the workload's day curve: peak-to-mean swing and period
+DIURNAL_AMPLITUDE = 0.2
+DIURNAL_PERIOD_S = 0.25
+#: simulated time after the last arrival for in-flight requests to land
+DRAIN_S = 0.1
+
+
 def mesh_program():
     return load_stdlib(schema=MESH_SCHEMA)
 
@@ -128,8 +138,8 @@ def hotel_mesh_graph(
         builder.service(name, replicas=replicas)
     half = deadline_ms / 2
     quarter = deadline_ms / 4
-    builder.edge(
-        "gateway", "search",
+    # the three required gateway tiers share one edge policy
+    tier = dict(
         elements=("Logging", "LbKeyHash"),
         deadline_budget_ms=deadline_ms,
         max_attempts=2,
@@ -139,17 +149,15 @@ def hotel_mesh_graph(
         hash_fields=("username", "obj_id"),
         breaker=True,
     )
-    builder.edge(
-        "gateway", "profile",
-        elements=("Logging", "LbKeyHash"),
-        deadline_budget_ms=deadline_ms,
+    retried_hop = dict(
+        elements=("Logging",),
+        deadline_budget_ms=half,
         max_attempts=2,
-        per_attempt_timeout_ms=half,
-        admission=True,
-        queue_limit=48,
-        hash_fields=("username", "obj_id"),
+        per_attempt_timeout_ms=crash_timeout_ms,
         breaker=True,
     )
+    builder.edge("gateway", "search", **tier)
+    builder.edge("gateway", "profile", **tier)
     builder.edge(
         "gateway", "recommendation",
         elements=("Logging",),
@@ -158,25 +166,8 @@ def hotel_mesh_graph(
         breaker=True,
         required=False,
     )
-    builder.edge(
-        "gateway", "reservation",
-        elements=("Logging", "LbKeyHash"),
-        deadline_budget_ms=deadline_ms,
-        max_attempts=2,
-        per_attempt_timeout_ms=half,
-        admission=True,
-        queue_limit=48,
-        hash_fields=("username", "obj_id"),
-        breaker=True,
-    )
-    builder.edge(
-        "search", "geo",
-        elements=("Logging",),
-        deadline_budget_ms=half,
-        max_attempts=2,
-        per_attempt_timeout_ms=crash_timeout_ms,
-        breaker=True,
-    )
+    builder.edge("gateway", "reservation", **tier)
+    builder.edge("search", "geo", **retried_hop)
     builder.edge(
         "search", "rate",
         elements=("LbKeyHash",),
@@ -208,14 +199,7 @@ def hotel_mesh_graph(
         per_attempt_timeout_ms=crash_timeout_ms,
         breaker=True,
     )
-    builder.edge(
-        "reservation", "payment",
-        elements=("Logging",),
-        deadline_budget_ms=half,
-        max_attempts=2,
-        per_attempt_timeout_ms=crash_timeout_ms,
-        breaker=True,
-    )
+    builder.edge("reservation", "payment", **retried_hop)
     builder.edge(
         "reservation", "inventory",
         elements=("Logging",),
@@ -276,33 +260,24 @@ def run_graph_scenario(
     graph: Optional[ServiceGraph] = None,
     base_rps: float = 2_000.0,
     duration_s: float = 0.3,
-    drain_s: float = 0.1,
     fault_plan: Optional[FaultPlan] = None,
-    service_cost_us: float = 36.0,
     users: int = 1_000_000,
-    diurnal_amplitude: float = 0.2,
-    diurnal_period_s: float = 0.25,
-    priority_high_ratio: float = 0.1,
-    admission: Optional[AdmissionConfig] = None,
-    strategy: str = "software",
     seed: int = 1,
     sanitizer=None,
 ) -> GraphScenarioResult:
     """One fresh simulation of a mesh under this workload/fault plan.
 
-    The default knobs mirror the overload sweep: inflated element
-    dispatch cost bounds capacity, admission targets a 2 ms sojourn, the
-    breaker exists for *dead* downstreams (high trip threshold, short
-    open period so probes find restarts quickly).
+    The knobs mirror the overload sweep: inflated element dispatch cost
+    (:data:`SERVICE_COST_US`) bounds capacity, admission targets a 2 ms
+    sojourn, the breaker exists for *dead* downstreams (high trip
+    threshold, short open period so probes find restarts quickly).
     """
     graph = graph or hotel_mesh_graph()
     reset_rpc_ids()
     sim = Simulator()
     program = mesh_program()
-    placement = solve_graph_placement(
-        graph, program, MESH_SCHEMA, strategy=strategy
-    )
-    costs = CostModel(element_dispatch_us=service_cost_us)
+    placement = solve_graph_placement(graph, program, MESH_SCHEMA)
+    costs = CostModel(element_dispatch_us=SERVICE_COST_US)
     cluster = build_graph_cluster(sim, placement, costs=costs)
     runtime = GraphRuntime(
         sim,
@@ -313,8 +288,7 @@ def run_graph_scenario(
         # request's sub-RPCs (which share username/obj_id through
         # fan-out) live or die together, instead of three gateway edges
         # compounding independent shed draws against the same request
-        admission=admission
-        or AdmissionConfig(
+        admission=AdmissionConfig(
             target_delay_ms=2.0,
             interval_ms=10.0,
             hash_fields=("username", "obj_id"),
@@ -344,14 +318,13 @@ def run_graph_scenario(
         MeshWorkloadConfig(
             users=users,
             base_rps=base_rps,
-            diurnal_amplitude=diurnal_amplitude,
-            diurnal_period_s=diurnal_period_s,
+            diurnal_amplitude=DIURNAL_AMPLITUDE,
+            diurnal_period_s=DIURNAL_PERIOD_S,
             duration_s=duration_s,
-            priority_high_ratio=priority_high_ratio,
             seed=seed,
         ),
     )
-    metrics = workload.run(drain_s=drain_s)
+    metrics = workload.run(drain_s=DRAIN_S)
     return GraphScenarioResult(
         graph=graph,
         placement=placement,

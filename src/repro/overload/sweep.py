@@ -38,6 +38,7 @@ from ..runtime.processor import PlacementPlan, PlacementSegment
 from ..sim.cluster import two_machine_cluster
 from ..sim.costmodel import CostModel
 from ..sim.engine import Simulator
+from ..sim.workload import OpenLoopClient
 from .admission import AdmissionConfig
 from .budget import CircuitBreakerPolicy, RetryBudgetConfig
 
@@ -90,13 +91,13 @@ class SweepPoint:
     protected: bool
     multiplier: float
     offered_rps: float
-    issued: int
-    ok: int
-    aborted: int
-    goodput_rps: float
+    issued: int = 0
+    ok: int = 0
+    aborted: int = 0
+    goodput_rps: float = 0.0
     #: median latency of *successful* RPCs (the admitted ones), ms
-    p50_ok_ms: float
-    amplification: float
+    p50_ok_ms: float = 0.0
+    amplification: float = 0.0
     aborted_by: Dict[str, int] = field(default_factory=dict)
     sheds: int = 0
     queue_rejects: int = 0
@@ -147,15 +148,9 @@ def build_sweep_stack(
         ],
         description="overload sweep: all elements server-side",
     )
+    protection = {}
     if protected:
-        return AdnMrpcStack(
-            sim,
-            cluster,
-            chain,
-            SWEEP_SCHEMA,
-            registry,
-            plan=placement,
-            retry_policy=_retry_policy(config, protected=True),
+        protection = dict(
             queue_limit=config.queue_limit,
             admission=AdmissionConfig(
                 target_delay_ms=config.target_delay_ms,
@@ -176,8 +171,42 @@ def build_sweep_stack(
         SWEEP_SCHEMA,
         registry,
         plan=placement,
-        retry_policy=_retry_policy(config, protected=False),
+        retry_policy=_retry_policy(config, protected),
+        **protection,
     )
+
+
+def offer_open_loop(sim: Simulator, call, point, config, fields_fn) -> None:
+    """Offer ``call`` open-loop at ``point.offered_rps`` for the
+    config's ``duration_s`` (plus ``drain_s`` for in-flight work) and
+    fill the point's outcome fields: issued, ok, aborted, ``aborted_by``,
+    goodput and the median latency of successful RPCs. Shared by this
+    sweep's :class:`SweepPoint` and the offload sweep's points."""
+    ok_latencies: List[float] = []
+
+    def tallied(**fields):
+        outcome = yield from call(**fields)
+        if outcome.ok:
+            ok_latencies.append(outcome.latency_s)
+        else:
+            reason = outcome.aborted_by or "unknown"
+            point.aborted_by[reason] = point.aborted_by.get(reason, 0) + 1
+        return outcome
+
+    metrics = OpenLoopClient(
+        sim,
+        tallied,
+        [(point.offered_rps, config.duration_s)],
+        seed=config.seed,
+        fields_fn=fields_fn,
+    ).run(drain_s=config.drain_s)
+    point.issued = metrics.issued
+    point.aborted = metrics.aborted
+    point.ok = metrics.completed - metrics.aborted
+    point.goodput_rps = point.ok / config.duration_s
+    if ok_latencies:
+        ok_latencies.sort()
+        point.p50_ok_ms = ok_latencies[len(ok_latencies) // 2] * 1e3
 
 
 def run_overload_point(
@@ -190,54 +219,20 @@ def run_overload_point(
     reset_rpc_ids()
     sim = Simulator()
     stack = build_sweep_stack(sim, protected, config)
-    offered_rps = multiplier * config.capacity_rps
-    rng = random.Random(config.seed)
-
     point = SweepPoint(
         protected=protected,
         multiplier=multiplier,
-        offered_rps=offered_rps,
-        issued=0,
-        ok=0,
-        aborted=0,
-        goodput_rps=0.0,
-        p50_ok_ms=0.0,
-        amplification=0.0,
+        offered_rps=multiplier * config.capacity_rps,
     )
-    ok_latencies: List[float] = []
 
-    def one(fields: Dict[str, object]):
-        outcome = yield sim.process(stack.call(**fields))
-        if outcome.ok:
-            point.ok += 1
-            ok_latencies.append(outcome.latency_s)
-        else:
-            point.aborted += 1
-            reason = outcome.aborted_by or "unknown"
-            point.aborted_by[reason] = point.aborted_by.get(reason, 0) + 1
+    def fields(rng: random.Random, index: int) -> Dict[str, object]:
+        return {
+            "payload": b"x" * 64,
+            "username": f"user{rng.randrange(8)}",
+            "obj_id": rng.randrange(1 << 12),
+        }
 
-    def arrivals():
-        started = sim.now
-        while sim.now - started < config.duration_s:
-            yield sim.timeout(rng.expovariate(offered_rps))
-            point.issued += 1
-            sim.process(
-                one(
-                    {
-                        "payload": b"x" * 64,
-                        "username": f"user{rng.randrange(8)}",
-                        "obj_id": rng.randrange(1 << 12),
-                    }
-                )
-            )
-
-    sim.process(arrivals())
-    sim.run(until=sim.now + config.duration_s + config.drain_s)
-
-    point.goodput_rps = point.ok / config.duration_s
-    if ok_latencies:
-        ok_latencies.sort()
-        point.p50_ok_ms = ok_latencies[len(ok_latencies) // 2] * 1e3
+    offer_open_loop(sim, stack.call, point, config, fields)
     if stack.retry_stats is not None:
         point.amplification = stack.retry_stats.amplification()
     point.sheds = sum(p.rpcs_shed for p in stack.processors)

@@ -2,14 +2,17 @@
 
 The paper's evaluation uses a closed-loop client: one thread keeping 128
 concurrent RPCs in flight, short byte-string request/response (§6). The
-closed-loop generator reproduces that; an open-loop (Poisson) generator
-is provided for latency-vs-load sweeps and the autoscaling experiment.
+closed-loop generator reproduces that. The one open-loop (Poisson)
+generator steps through ``(rate, duration)`` phases: a single phase
+drives the latency-vs-load sweep and the overload and offload goodput
+sweeps (which tally per-outcome detail by wrapping their call), several
+phases make the autoscaling experiment's load spike.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Generator, Optional
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..runtime.message import RpcOutcome
 from .engine import Simulator
@@ -102,66 +105,26 @@ class ClosedLoopClient:
 
 
 class OpenLoopClient:
-    """Poisson arrivals at ``rate_rps``; unbounded concurrency."""
+    """Poisson arrivals, unbounded concurrency, stepping through
+    ``phases`` of ``(rate_rps, duration_s)``. One phase is a plain
+    open-loop run at one rate; several make a load step (the autoscaling
+    experiment's spike). ``per_phase`` holds each phase's own metrics."""
 
     def __init__(
         self,
         sim: Simulator,
         call: CallFn,
-        rate_rps: float,
-        duration_s: float,
+        phases: Sequence[Tuple[float, float]],
         seed: int = 1,
         fields_fn: Optional[Callable[[random.Random, int], Dict[str, object]]] = None,
     ):
         self.sim = sim
         self.call = call
-        self.rate_rps = rate_rps
-        self.duration_s = duration_s
+        self.phases = list(phases)
         self.rng = random.Random(seed)
         self.fields_fn = fields_fn or _default_fields
         self.metrics = RunMetrics()
-
-    def run(self, drain_s: float = 1.0) -> RunMetrics:
-        self.sim.process(self._arrivals())
-        self.sim.run(until=self.sim.now + self.duration_s + drain_s)
-        self.metrics.elapsed_s = self.duration_s
-        return self.metrics
-
-    def _arrivals(self) -> Generator:
-        index = 0
-        started = self.sim.now
-        while self.sim.now - started < self.duration_s:
-            yield self.sim.timeout(self.rng.expovariate(self.rate_rps))
-            index += 1
-            fields = self.fields_fn(self.rng, index)
-            self.metrics.issued += 1
-            self.sim.process(self._one(fields))
-
-    def _one(self, fields: Dict[str, object]) -> Generator:
-        outcome: RpcOutcome = yield self.sim.process(self.call(**fields))
-        self.metrics.completed += 1
-        if not outcome.ok:
-            self.metrics.aborted += 1
-        self.metrics.latency.record(outcome.latency_s)
-
-
-class SteppedLoadClient:
-    """Open-loop load that steps through (rate, duration) phases — the
-    autoscaling experiment's workload spike."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        call: CallFn,
-        phases,
-        seed: int = 1,
-    ):
-        self.sim = sim
-        self.call = call
-        self.phases = list(phases)
-        self.rng = random.Random(seed)
-        self.metrics = RunMetrics()
-        self.per_phase: list = []
+        self.per_phase: List[RunMetrics] = []
 
     def run(self, drain_s: float = 1.0) -> RunMetrics:
         total = sum(duration for _rate, duration in self.phases)
@@ -180,7 +143,7 @@ class SteppedLoadClient:
             while self.sim.now - started < duration:
                 yield self.sim.timeout(self.rng.expovariate(rate))
                 index += 1
-                fields = _default_fields(self.rng, index)
+                fields = self.fields_fn(self.rng, index)
                 self.metrics.issued += 1
                 phase_metrics.issued += 1
                 self.sim.process(self._one(fields, phase_metrics))
@@ -192,3 +155,7 @@ class SteppedLoadClient:
             if not outcome.ok:
                 metrics.aborted += 1
             metrics.latency.record(outcome.latency_s)
+
+
+#: the autoscaling experiment's name for a multi-phase open-loop run
+SteppedLoadClient = OpenLoopClient

@@ -241,3 +241,39 @@ class TestFaults:
         assert payload["schema_version"] == 1
         assert payload["results"]["total_stale_applied"] == 0
         assert len(payload["results"]["trials"]) == 2
+
+
+class TestHarnessFlags:
+    """Every harness subcommand validates its numeric flags in argparse:
+    a bad value is a usage error (exit 2), never a traceback or a run
+    that prints ``nan``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["overload", "--multipliers", ","],
+        ["overload", "--multipliers", "abc"],
+        ["overload", "--multipliers", "1,-2"],
+        ["overload", "--multipliers", "0.5,inf"],
+        ["overload", "--duration", "0"],
+        ["overload", "--duration", "nan"],
+        ["overload", "--duration", "inf"],
+        ["offload", "--multipliers", ","],
+        ["offload", "--multipliers", "0"],
+        ["offload", "--duration", "-1"],
+        ["faults", "--rpcs", "0"],
+        ["faults", "--concurrency", "0"],
+        ["faults", "--table-rows", "-5"],
+        ["faults", "--rpcs", "many"],
+        ["chaos", "--trials", "0"],
+        ["chaos", "--rpcs", "0"],
+        ["chaos", "--events", "-1"],
+        ["chaos", "--horizon", "0"],
+        ["bench", "--rpcs", "0"],
+        ["bench", "--concurrency", "0"],
+    ], ids=" ".join)
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"argument {argv[1]}" in err

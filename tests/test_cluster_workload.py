@@ -173,7 +173,7 @@ class TestOpenLoop:
     def test_rate_approximates_target(self):
         sim = Simulator()
         client = OpenLoopClient(
-            sim, _fixed_call_factory(sim, 1e-5), rate_rps=5000, duration_s=1.0
+            sim, _fixed_call_factory(sim, 1e-5), phases=[(5000, 1.0)]
         )
         metrics = client.run()
         assert 4000 < metrics.completed < 6000

@@ -6,6 +6,7 @@ import zlib
 
 import pytest
 
+from repro.compiler.compiler import AdnCompiler
 from repro.dsl import FieldType, FunctionRegistry, RpcSchema, load_stdlib
 from repro.dsl.stdlib import STDLIB_SOURCES, stdlib_loc, stdlib_source
 from repro.ir import ElementInstance, analyze_element, build_element_ir
@@ -52,6 +53,24 @@ class TestLibraryShape:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             stdlib_source("Nope")
+
+    def test_every_element_compiles_for_software(self, program):
+        compiler = AdnCompiler()
+        for name, element in program.elements.items():
+            backends = compiler.compile_element(element).legal_backends()
+            assert "python" in backends, name
+            assert "wasm" in backends, name
+
+    def test_p4_legal_elements_are_header_only(self, program):
+        compiler = AdnCompiler()
+        p4_capable = {
+            name
+            for name, element in program.elements.items()
+            if "p4" in compiler.compile_element(element).legal_backends()
+        }
+        # exactly the header-only, match-action-friendly elements
+        assert {"Acl", "LbKeyHash", "Fault"} <= p4_capable
+        assert not {"Compression", "Logging", "Mirror"} & p4_capable
 
 
 class TestLogging:
