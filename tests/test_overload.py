@@ -655,32 +655,48 @@ class TestDeadlinePropagation:
         assert stack.deadline_expired_at_server == 0
 
     def test_overload_reasons_position_the_abort_turnaround(self):
-        sim = Simulator()
-        chain, registry = build_chain("Logging", "Acl")
-        cluster = two_machine_cluster(sim)
-        plan = PlacementPlan(
-            segments=[
-                PlacementSegment(
-                    platform=Platform.MRPC,
-                    machine="client-host",
-                    elements=("Logging",),
+        def run(shed_at=None, deadline_at=None):
+            sim = Simulator()
+            chain, registry = build_chain("Logging", "Acl")
+            cluster = two_machine_cluster(sim)
+            plan = PlacementPlan(
+                segments=[
+                    PlacementSegment(
+                        platform=Platform.MRPC,
+                        machine="client-host",
+                        elements=("Logging",),
+                    ),
+                    PlacementSegment(
+                        platform=Platform.MRPC,
+                        machine="server-host",
+                        elements=("Acl",),
+                    ),
+                ]
+            )
+            stack = AdnMrpcStack(
+                sim, cluster, chain, SCHEMA, registry, plan=plan,
+                admission=AdmissionConfig(max_shed_probability=1.0),
+                propagate_deadline=True,
+            )
+            if shed_at is not None:
+                stack.processors[shed_at].admission.engage()
+            outcome = complete(
+                sim,
+                stack.call_raw(
+                    payload=b"x", username="usr2", obj_id=1,
+                    deadline_at=deadline_at,
                 ),
-                PlacementSegment(
-                    platform=Platform.MRPC,
-                    machine="server-host",
-                    elements=("Acl",),
-                ),
-            ]
-        )
-        stack = AdnMrpcStack(sim, cluster, chain, SCHEMA, registry, plan=plan)
-        first, second = stack.processors
-        # synthetic reasons name no element: position comes from the
-        # dropping processor (they gate at entry, nothing inside ran)
-        assert stack._before_drop(first, SHED, second) is True
-        assert stack._before_drop(second, SHED, first) is False
-        # a server-boundary drop (no dropping processor) was seen by all
-        assert stack._before_drop(first, DEADLINE_EXPIRED, None) is True
-        assert stack._before_drop(second, DEADLINE_EXPIRED, None) is True
+            )
+            processed = [p.rpcs_processed for p in stack.processors]
+            return outcome.aborted_by, processed
+
+        # synthetic reasons name no element: they gate at processor
+        # entry, so the abort turns around before the dropping processor
+        # and only the processors ahead of it see the response
+        assert run(shed_at=1) == (SHED, [2, 1])
+        assert run(shed_at=0) == (SHED, [1, 0])
+        # a server-boundary drop (no dropping processor) is seen by all
+        assert run(deadline_at=20e-6) == (DEADLINE_EXPIRED, [2, 2])
 
     def test_stack_level_overload_config_reaches_every_processor(self):
         sim = Simulator()
