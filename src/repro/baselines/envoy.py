@@ -34,7 +34,7 @@ from ..runtime.message import (
     make_request,
     make_response,
 )
-from .grpc_stack import GrpcStack, tcp_wire_bytes
+from .grpc_stack import GrpcStack
 
 
 class EnvoySidecar:
@@ -132,7 +132,11 @@ class EnvoyMeshStack:
         )
         self.client_service = client_service
         self.server_service = server_service
-        self.wire_bytes_total = 0
+
+    @property
+    def wire_bytes_total(self) -> int:
+        """Bytes both wire crossings put on the wire, summed over RPCs."""
+        return self.grpc.wire_bytes_total
 
     def _app_to_sidecar(self, app: Resource, message: Row) -> Generator:
         """App emits through its gRPC stack; iptables redirects the
@@ -156,12 +160,6 @@ class EnvoyMeshStack:
             * US
         )
 
-    def _wire(self, message: Row) -> Generator:
-        encoded = self.grpc.encode(message)
-        wire = tcp_wire_bytes(len(encoded))
-        self.wire_bytes_total += wire
-        yield self.sim.timeout(self.costs.wire_us(wire) * US)
-
     def call(self, **fields: object) -> Generator:
         issued_at = self.sim.now
         request = make_request(
@@ -171,8 +169,6 @@ class EnvoyMeshStack:
             **fields,
         )
         payload_size = self.grpc.codec.encoded_size(request)
-        aborted_by = ""
-        response: Optional[Row] = None
 
         # request: client app -> client sidecar
         yield from self.grpc.client_app.use(self.costs.client_issue_us * US)
@@ -180,47 +176,32 @@ class EnvoyMeshStack:
         message, dropped = yield self.sim.process(
             self.client_sidecar.traverse(request, "request", payload_size)
         )
+        crossed = not dropped
+        if crossed:
+            # client sidecar -> wire -> server sidecar
+            yield from self.grpc._wire(self.grpc.encode(message))
+            message, dropped = yield self.sim.process(
+                self.server_sidecar.traverse(message, "request", payload_size)
+            )
+            if not dropped:
+                # server sidecar -> server app -> server sidecar
+                yield from self._sidecar_to_app(self.grpc.server_app, message)
+                yield from self.grpc.server_app.use(
+                    self.costs.app_logic_us * US
+                )
+                response = make_response(message)
+                yield from self._app_to_sidecar(self.grpc.server_app, response)
         if dropped:
-            aborted_by = dropped
+            # the sidecar that dropped the request answers the abort
             response = make_abort(request, dropped)
-            # the client sidecar answers the abort locally
+        if crossed:
+            # response: server sidecar -> wire
             message, _ = yield self.sim.process(
-                self.client_sidecar.traverse(response, "response", payload_size)
+                self.server_sidecar.traverse(response, "response", payload_size)
             )
             response = message or response
-            yield from self._sidecar_to_app(self.grpc.client_app, response)
-            yield from self.grpc.client_app.use(
-                self.costs.client_complete_us * US
-            )
-            return RpcOutcome(
-                request=request,
-                response=response,
-                issued_at=issued_at,
-                completed_at=self.sim.now,
-                aborted_by=aborted_by,
-            )
-
-        # client sidecar -> wire -> server sidecar
-        yield from self._wire(message)
-        message, dropped = yield self.sim.process(
-            self.server_sidecar.traverse(message, "request", payload_size)
-        )
-        if dropped:
-            aborted_by = dropped
-            response = make_abort(request, dropped)
-        else:
-            # server sidecar -> server app
-            yield from self._sidecar_to_app(self.grpc.server_app, message)
-            yield from self.grpc.server_app.use(self.costs.app_logic_us * US)
-            response = make_response(message)
-            yield from self._app_to_sidecar(self.grpc.server_app, response)
-
-        # response: server sidecar -> wire -> client sidecar -> client app
-        message, _ = yield self.sim.process(
-            self.server_sidecar.traverse(response, "response", payload_size)
-        )
-        response = message or response
-        yield from self._wire(response)
+            yield from self.grpc._wire(self.grpc.encode(response))
+        # response: client sidecar -> client app
         message, _ = yield self.sim.process(
             self.client_sidecar.traverse(response, "response", payload_size)
         )
@@ -232,5 +213,5 @@ class EnvoyMeshStack:
             response=response,
             issued_at=issued_at,
             completed_at=self.sim.now,
-            aborted_by=aborted_by,
+            aborted_by=dropped or "",
         )

@@ -92,10 +92,10 @@ class GrpcStack:
     def _recv_cpu_us(self, message: Row) -> float:
         return self.costs.grpc_recv_cpu_us(self.codec.encoded_size(message))
 
-    def _wire(self, encoded: bytes, hops: int = 1) -> Generator:
+    def _wire(self, encoded: bytes) -> Generator:
         wire = tcp_wire_bytes(len(encoded))
         self.wire_bytes_total += wire
-        yield self.sim.timeout(self.costs.wire_us(wire, hops) * US)
+        yield self.sim.timeout(self.costs.wire_us(wire) * US)
 
     # -- the path -------------------------------------------------------------------
 
