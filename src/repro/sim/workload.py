@@ -11,9 +11,11 @@ phases make the autoscaling experiment's load spike.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
+from ..errors import SimulationError
 from ..runtime.message import RpcOutcome
 from .engine import Simulator
 from .metrics import RunMetrics
@@ -108,7 +110,10 @@ class OpenLoopClient:
     """Poisson arrivals, unbounded concurrency, stepping through
     ``phases`` of ``(rate_rps, duration_s)``. One phase is a plain
     open-loop run at one rate; several make a load step (the autoscaling
-    experiment's spike). ``per_phase`` holds each phase's own metrics."""
+    experiment's spike). ``per_phase`` holds each phase's own metrics.
+    A rate must be finite and positive and a duration finite and not
+    negative, or construction raises :class:`SimulationError` (an
+    infinite rate would issue arrivals without ever advancing time)."""
 
     def __init__(
         self,
@@ -121,6 +126,16 @@ class OpenLoopClient:
         self.sim = sim
         self.call = call
         self.phases = list(phases)
+        for rate, duration in self.phases:
+            if not (math.isfinite(rate) and rate > 0):
+                raise SimulationError(
+                    f"open-loop rate must be finite and positive, got {rate!r}"
+                )
+            if not (math.isfinite(duration) and duration >= 0):
+                raise SimulationError(
+                    "open-loop phase duration must be finite and not "
+                    f"negative, got {duration!r}"
+                )
         self.rng = random.Random(seed)
         self.fields_fn = fields_fn or _default_fields
         self.metrics = RunMetrics()

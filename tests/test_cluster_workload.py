@@ -188,3 +188,34 @@ class TestOpenLoop:
         client.run()
         low, high = client.per_phase
         assert high.issued > low.issued * 2
+
+    @pytest.mark.parametrize(
+        "phase",
+        [
+            (float("inf"), 1.0),
+            (float("nan"), 1.0),
+            (0.0, 1.0),
+            (-5.0, 1.0),
+            (1000.0, float("inf")),
+            (1000.0, float("nan")),
+            (1000.0, -1.0),
+        ],
+    )
+    def test_rejects_impossible_phases(self, phase):
+        # refused at construction: no arrival loop ever starts
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            OpenLoopClient(
+                sim, _fixed_call_factory(sim, 1e-5), phases=[(1000, 0.1), phase]
+            )
+        assert sim.now == 0.0
+
+    def test_sweep_points_inherit_the_check(self):
+        from repro.offload.sweep import run_offload_point
+        from repro.overload.sweep import run_overload_point
+
+        # a zero multiplier offers a zero rate
+        with pytest.raises(SimulationError):
+            run_overload_point(0.0, protected=False)
+        with pytest.raises(SimulationError):
+            run_offload_point(0.0, "nic")
