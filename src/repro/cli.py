@@ -63,13 +63,24 @@ def _schema_from_args(fields: Optional[List[str]]) -> RpcSchema:
     return schema
 
 
+def _read(path: str) -> str:
+    """The text of one input file; an unreadable one is a user error."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as error:
+        raise AdnError(
+            f"cannot read {path}: {error.strerror or error}"
+        ) from None
+
+
 def _load(path: str, schema: RpcSchema, include_stdlib: bool = True):
-    with open(path) as handle:
-        source = handle.read()
-    program = parse(source)
-    if include_stdlib:
-        program = load_stdlib().merged(program)
-    return validate_program(program, schema=schema)
+    """Read and parse ``path`` once. Returns the validated program (with
+    the stdlib merged in unless told not to) and the file's own
+    definitions as parsed."""
+    own = parse(_read(path))
+    program = load_stdlib().merged(own) if include_stdlib else own
+    return validate_program(program, schema=schema), own
 
 
 def _write_bench_json(path, benchmark, seed, config, results) -> None:
@@ -213,8 +224,9 @@ def _typecheck_diagnostics(args, schema):
 def cmd_check(args) -> int:
     schema = _schema_from_args(args.field)
     try:
-        program = _load(args.file, schema, include_stdlib=not args.no_stdlib)
-        own = parse(open(args.file).read())
+        program, own = _load(
+            args.file, schema, include_stdlib=not args.no_stdlib
+        )
     except AdnError as error:
         if args.format == "json":
             print(json.dumps({
@@ -298,7 +310,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from .lint import LintOptions, Severity, lint_file, lint_source
+    from .lint import LintOptions, Severity, lint_source
 
     if args.explain:
         from .lint.explain import explain_rule
@@ -332,7 +344,7 @@ def cmd_lint(args) -> int:
     threshold = Severity.from_name(args.fail_on)
     results = []
     for path in args.files:
-        results.append(lint_file(path, options))
+        results.append(lint_source(_read(path), path=path, options=options))
     if args.stdlib:
         from .dsl.stdlib import STDLIB_SOURCES
 
@@ -372,7 +384,7 @@ def cmd_lint(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    program = parse(open(args.file).read())
+    program = parse(_read(args.file))
     text = print_program(program)
     if args.in_place:
         with open(args.file, "w") as handle:
@@ -385,8 +397,7 @@ def cmd_fmt(args) -> int:
 
 def cmd_compile(args) -> int:
     schema = _schema_from_args(args.field)
-    program = _load(args.file, schema)
-    own = parse(open(args.file).read())
+    program, own = _load(args.file, schema)
     if args.explain or args.verify:
         return _explain(program, own, schema, verify=args.verify)
     compiler = AdnCompiler(registry=FunctionRegistry())
@@ -472,8 +483,7 @@ def _explain(program, own, schema, verify: bool = False) -> int:
 
 def cmd_plan(args) -> int:
     schema = _schema_from_args(args.field)
-    program = _load(args.file, schema)
-    own = parse(open(args.file).read())
+    program, own = _load(args.file, schema)
     apps = list(own.apps)
     if not apps:
         print("no app definition in the file", file=sys.stderr)

@@ -30,6 +30,15 @@ def dsl_file(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("command", ["check", "compile", "fmt", "plan", "lint"])
+def test_missing_input_is_an_error_not_a_traceback(command, tmp_path, capsys):
+    missing = str(tmp_path / "nope.adn")
+    assert main([command, missing]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read {missing}" in err
+    assert "Traceback" not in err
+
+
 class TestCheck:
     def test_valid_file(self, dsl_file, capsys):
         assert main(["check", dsl_file]) == 0
