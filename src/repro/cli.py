@@ -74,6 +74,14 @@ def _read(path: str) -> str:
         ) from None
 
 
+def _error_text(path: str, error: AdnError) -> str:
+    """``path:line:col: error: message`` for an error met in the input
+    file ``path`` (plain ``path: error: ...`` when it has no position)."""
+    line = getattr(error, "line", 0)
+    where = f"{path}:{line}:{getattr(error, 'column', 0)}" if line else path
+    return f"{where}: error: {error}"
+
+
 def _load(path: str, schema: RpcSchema, include_stdlib: bool = True):
     """Read and parse ``path`` once. Returns the validated program (with
     the stdlib merged in unless told not to) and the file's own
@@ -239,7 +247,7 @@ def cmd_check(args) -> int:
                 },
             }, indent=2))
         else:
-            print(f"{args.file}: error: {error}", file=sys.stderr)
+            print(_error_text(args.file, error), file=sys.stderr)
         return 1
     diagnostics, types_failed = (
         _typecheck_diagnostics(args, schema) if args.types else ([], False)
@@ -1250,7 +1258,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except AdnError as error:
-        print(f"error: {error}", file=sys.stderr)
+        path = getattr(args, "file", None)
+        text = _error_text(path, error) if path else f"error: {error}"
+        print(text, file=sys.stderr)
         return 1
 
 

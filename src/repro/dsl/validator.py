@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import DslValidationError
+from ..overload.budget import lower_filter
 from .ast_nodes import (
     AppDef,
     BinaryOp,
@@ -688,13 +689,18 @@ def validate_element(
 
 
 def validate_filter(filter_def: FilterDef) -> FilterDef:
-    """Check a filter element binds to a known operator."""
+    """Check a filter element binds to a known operator and that its
+    meta lowers to the policy the runtime will run."""
     if filter_def.operator not in _KNOWN_OPERATORS:
         raise _verr(
             f"filter {filter_def.name!r}: unknown operator "
             f"{filter_def.operator!r} (known: {sorted(_KNOWN_OPERATORS)})",
             filter_def,
         )
+    try:
+        lower_filter(filter_def)
+    except ValueError as error:
+        raise _verr(f"filter {filter_def.name!r}: {error}", filter_def) from None
     return filter_def
 
 

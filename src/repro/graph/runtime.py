@@ -45,7 +45,8 @@ from ..overload import (
     CircuitBreakerPolicy,
     RetryBudgetConfig,
 )
-from ..runtime.filters import BREAKER_FAILURES, RetryPolicy
+from ..overload.budget import RetryPolicy, attempt_timeout_ms
+from ..runtime.filters import BREAKER_FAILURES
 from ..runtime.message import RpcOutcome
 from ..runtime.mrpc import ABORT_KEY, AdnMrpcStack
 from ..sim.cluster import Cluster
@@ -209,16 +210,11 @@ class GraphRuntime:
             and edge.per_attempt_timeout_ms is None
         ):
             return None
-        per_attempt = edge.per_attempt_timeout_ms
-        if per_attempt is None:
-            per_attempt = (
-                edge.deadline_budget_ms
-                if edge.deadline_budget_ms is not None
-                else 30.0
-            )
         return RetryPolicy(
             max_attempts=edge.max_attempts,
-            per_attempt_timeout_ms=per_attempt,
+            per_attempt_timeout_ms=attempt_timeout_ms(
+                edge.per_attempt_timeout_ms, edge.deadline_budget_ms
+            ),
             deadline_budget_ms=edge.deadline_budget_ms,
             seed=seed,
         )

@@ -19,9 +19,11 @@ from typing import List, Optional
 
 from ...dsl.ast_nodes import ChainDecl, Program
 from ...dsl.stdlib import load_stdlib
+from ...overload.budget import RetryPolicy
 from ..deadline import CustodyEdge, walk_deadline_custody
 from ..diagnostics import Diagnostic, Severity
 from ..registry import rule
+from .overload import retry_policy
 
 
 def _resolution(context) -> Program:
@@ -52,19 +54,13 @@ def _deadline_sensitive(chain: ChainDecl, namespace: Program) -> List[str]:
     return sensitive
 
 
-def _carries_budget(chain: ChainDecl, namespace: Program) -> bool:
-    """Does this edge establish a deadline budget? In the DSL that is a
-    retry filter with ``deadline_budget_ms`` — the value the runtime
-    stamps on the call and propagates as remaining budget."""
-    for name in chain.elements:
-        filter_def = namespace.filters.get(name)
-        if (
-            filter_def is not None
-            and filter_def.operator == "retry"
-            and filter_def.meta.get("deadline_budget_ms") is not None
-        ):
-            return True
-    return False
+def retry_policies(chain: ChainDecl, namespace: Program) -> List[RetryPolicy]:
+    """The lowered policy of each retry filter in the chain, outermost
+    first — what the runtime wraps the edge's calls in."""
+    policies = (
+        retry_policy(namespace.filters.get(name)) for name in chain.elements
+    )
+    return [policy for policy in policies if policy is not None]
 
 
 def _custody_edges(app, namespace: Program) -> List[CustodyEdge]:
@@ -77,7 +73,10 @@ def _custody_edges(app, namespace: Program) -> List[CustodyEdge]:
             dst=chain.dst,
             name=f"{chain.src} -> {chain.dst}",
             sensitive=tuple(_deadline_sensitive(chain, namespace)),
-            carries_budget=_carries_budget(chain, namespace),
+            carries_budget=any(
+                policy.deadline_budget_ms is not None
+                for policy in retry_policies(chain, namespace)
+            ),
             payload=chain,
         )
         for chain in app.chains

@@ -13,38 +13,33 @@ without re-registering — the ADN405 precedent.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 from ...dsl.ast_nodes import ChainDecl, Program
 from ..diagnostics import Diagnostic, Severity
 from ..registry import rule
-from .graph import _resolution
+from .graph import _resolution, retry_policies
 
 #: worst-case amplification (product of attempts along a path) above
 #: which ADN601 fires — mirrors GraphAnalysisOptions.amplification_threshold
 AMPLIFICATION_THRESHOLD = 8.0
 
 
-def _chain_attempts(chain: ChainDecl, namespace: Program) -> int:
-    """Total attempts one logical call over this chain may make: the
-    product over its retry filters of ``max_retries + 1``."""
-    attempts = 1
-    for name in chain.elements:
-        filter_def = namespace.filters.get(name)
-        if filter_def is not None and filter_def.operator == "retry":
-            retries = filter_def.meta.get("max_retries")
-            attempts *= 1 + int(retries if retries is not None else 0)
-    return attempts
+def _attempts(chain: ChainDecl, namespace: Program) -> int:
+    """Attempts one logical call over this chain may make: the product
+    of its retry policies' ``max_attempts``."""
+    return math.prod(
+        policy.max_attempts for policy in retry_policies(chain, namespace)
+    )
 
 
-def _chain_budget(chain: ChainDecl, namespace: Program) -> Optional[float]:
-    for name in chain.elements:
-        filter_def = namespace.filters.get(name)
-        if filter_def is not None and filter_def.operator == "retry":
-            budget = filter_def.meta.get("deadline_budget_ms")
-            if budget is not None:
-                return float(budget)
-    return None
+def _budget(chain: ChainDecl, namespace: Program) -> Optional[float]:
+    """The outermost deadline budget a retry on this chain sets."""
+    budgets = (
+        policy.deadline_budget_ms for policy in retry_policies(chain, namespace)
+    )
+    return next((b for b in budgets if b is not None), None)
 
 
 def _walk_products(
@@ -67,7 +62,7 @@ def _walk_products(
             best = max(
                 best,
                 incoming_product(parent.src)
-                * _chain_attempts(parent, namespace),
+                * _attempts(parent, namespace),
             )
         worst_in[service] = best
         return best
@@ -76,7 +71,7 @@ def _walk_products(
     for chain in app.chains:
         before = incoming_product(chain.src)
         out.append(
-            (chain, before * _chain_attempts(chain, namespace), before)
+            (chain, before * _attempts(chain, namespace), before)
         )
     return out
 
@@ -136,11 +131,11 @@ def check_deadline_budget_feasibility(context) -> List[Diagnostic]:
         for chain in app.chains:
             by_dst.setdefault(chain.dst, []).append(chain)
         for chain in app.chains:
-            own = _chain_budget(chain, namespace)
+            own = _budget(chain, namespace)
             if own is None:
                 continue
             parents = by_dst.get(chain.src, [])
-            budgets = [_chain_budget(p, namespace) for p in parents]
+            budgets = [_budget(p, namespace) for p in parents]
             known = [b for b in budgets if b is not None]
             if not known or own <= max(known):
                 continue

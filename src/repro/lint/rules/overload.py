@@ -5,17 +5,30 @@ failure until ``max_retries`` is spent — and under overload, *every*
 attempt fails by timeout, so each logical call multiplies offered load
 by its full attempt count exactly when the downstream can least afford
 it (the metastable retry storm). A ``deadline_budget_ms`` bounds the
-whole logical call, which is also what deadline propagation
-(repro.overload) carries on the wire so downstream processors can drop
-work whose caller has already given up.
+whole logical call, and the stack carrying a budgeted retry propagates
+the remaining budget on the wire (repro.overload), so downstream
+processors drop work whose caller has already given up.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
+from ...overload.budget import RetryPolicy, lower_filter
 from ..diagnostics import Diagnostic, Severity
 from ..registry import rule
+
+
+def retry_policy(filter_def) -> Optional[RetryPolicy]:
+    """The policy a ``retry`` filter lowers to, the one the runtime
+    runs; None for no filter, another operator, or meta that does not
+    lower (ADN102 reports that)."""
+    if filter_def is None or filter_def.operator != "retry":
+        return None
+    try:
+        return lower_filter(filter_def)
+    except ValueError:
+        return None
 
 
 @rule("ADN404", "retry-without-deadline", Severity.WARNING)
@@ -26,9 +39,8 @@ def check_retry_without_deadline(context) -> List[Diagnostic]:
     propagate as a deadline. Give every retry policy a budget."""
     out: List[Diagnostic] = []
     for name, filter_def in context.program.filters.items():
-        if filter_def.operator != "retry":
-            continue
-        if filter_def.meta.get("deadline_budget_ms") is not None:
+        policy = retry_policy(filter_def)
+        if policy is None or policy.deadline_budget_ms is not None:
             continue
         out.append(
             context.diag(

@@ -13,7 +13,7 @@ closes that control loop end to end:
    the stdlib ``AdmissionControl`` element;
 3. **client-side protection** (:mod:`.budget`) — a token-bucket retry
    budget and a 3-state circuit breaker (:data:`CIRCUIT_OPEN`) layered
-   onto :class:`~repro.runtime.filters.RetryPolicy`;
+   onto :class:`~repro.overload.budget.RetryPolicy`;
 4. **deadline propagation** — the remaining deadline budget rides the
    minimal ADN header (:data:`DEADLINE_FIELD`) so downstream processors
    drop already-expired RPCs (:data:`DEADLINE_EXPIRED`) *before*

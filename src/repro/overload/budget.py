@@ -17,18 +17,85 @@ retry storm. Two mechanisms bound the blast radius:
   all must succeed to re-close, any failure re-opens. Which calls
   become probes is deterministic (the first N to arrive), so seeded
   runs replay exactly.
+
+:class:`RetryPolicy` lives here too, and :func:`lower_filter` turns a
+DSL ``retry``, ``timeout`` or ``circuit_breaker`` filter into one of
+these policies. The validator, the linter and the runtime all read a
+filter's meta through it, and none of them has to import the runtime.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # annotation-only, see admission.py on the cycle
     from ..sim.engine import Simulator
 
 #: ``aborted_by`` token for a breaker short-circuit
 CIRCUIT_OPEN = "CircuitOpen"
+
+#: aborts considered transient (safe/useful to retry) by default.
+#: Overload rejects (Shed, QueueFull, ...) are deliberately absent:
+#: reflexively retrying an explicit shed is how retry storms start
+DEFAULT_RETRYABLE = ("Fault", "Timeout")
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """A production-shaped retry budget (repro.faults): per-attempt
+    timeout, capped exponential backoff with deterministic jitter, and
+    an overall deadline budget per *logical* call.
+
+    The per-attempt timeout is what makes fault injection survivable: an
+    RPC blackholed by a crashed machine or a dropped frame never
+    completes on its own — the timeout converts that silence into a
+    retryable ``Timeout`` abort.
+    """
+
+    max_attempts: int = 4
+    per_attempt_timeout_ms: float = 30.0
+    base_backoff_ms: float = 1.0
+    backoff_multiplier: float = 2.0
+    max_backoff_ms: float = 50.0
+    #: fraction of the backoff randomized (0 = none, 1 = ±50%); drawn
+    #: from a policy-seeded RNG so runs replay exactly
+    jitter: float = 0.5
+    #: overall wall-clock budget for one logical call, all attempts and
+    #: backoffs included; None = unbounded
+    deadline_budget_ms: Optional[float] = None
+    retry_on: Tuple[str, ...] = DEFAULT_RETRYABLE
+    seed: int = 0
+
+    def backoff_s(self, attempt: int, rng: random.Random) -> float:
+        """Backoff after ``attempt`` (1-based) failed attempts.
+
+        The cap applies *after* jitter: the documented contract is that
+        no sleep ever exceeds ``max_backoff_ms`` (jitter used to push it
+        up to 25% past the cap).
+        """
+        raw = self.base_backoff_ms * (
+            self.backoff_multiplier ** (attempt - 1)
+        )
+        capped = min(raw, self.max_backoff_ms)
+        jittered = capped * (1.0 + self.jitter * (rng.random() - 0.5))
+        bounded = min(max(0.0, jittered), self.max_backoff_ms)
+        return bounded * 1e-3
+
+
+def attempt_timeout_ms(
+    timeout_ms: Optional[float], deadline_budget_ms: Optional[float]
+) -> float:
+    """The per-attempt timeout of a retry that may leave it unset: its
+    own, else the whole deadline budget, else 30 ms. Either way an
+    attempt blackholed by a crashed host or a lost frame ends."""
+    if timeout_ms is not None:
+        return timeout_ms
+    if deadline_budget_ms is not None:
+        return deadline_budget_ms
+    return 30.0
 
 
 @dataclass(frozen=True)
@@ -160,3 +227,66 @@ class CircuitBreaker:
             self._probes_in_flight = 0
             self.opens += 1
             self._transition("open")
+
+
+def _meta_number(meta, key: str, default, positive=True, whole=False):
+    """``meta[key]`` (``default`` when absent): a finite number, > 0 or
+    >= 0, and an integer when ``whole``."""
+    value = meta.get(key, default)
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int if whole else (int, float))
+        or not math.isfinite(value)
+        or not (value > 0 if positive else value >= 0)
+    ):
+        kind = "integer" if whole else "number"
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{key} must be a {sign} {kind}, got {value!r}")
+    return value
+
+
+def lower_filter(filter_def) -> Optional[Union[RetryPolicy, CircuitBreakerPolicy]]:
+    """The policy a DSL filter declares: a :class:`RetryPolicy` for
+    ``retry`` and ``timeout``, a :class:`CircuitBreakerPolicy` for
+    ``circuit_breaker``, None for the other operators. Raises
+    :class:`ValueError` naming the first meta key it cannot use.
+    ``docs/dsl_reference.md`` lists every key and default."""
+    meta = filter_def.meta
+    if filter_def.operator == "retry":
+        budget = _meta_number(meta, "deadline_budget_ms", None)
+        backoff = _meta_number(meta, "backoff_ms", 0.0, positive=False)
+        retry_on = meta.get("retry_on")
+        return RetryPolicy(
+            max_attempts=1 + _meta_number(
+                meta, "max_retries", 3, positive=False, whole=True
+            ),
+            per_attempt_timeout_ms=attempt_timeout_ms(
+                _meta_number(meta, "timeout_ms", None), budget
+            ),
+            # a fixed backoff: no growth, no jitter
+            base_backoff_ms=backoff,
+            backoff_multiplier=1.0,
+            max_backoff_ms=backoff,
+            jitter=0.0,
+            deadline_budget_ms=budget,
+            retry_on=(
+                tuple(part.strip() for part in str(retry_on).split(","))
+                if retry_on
+                else DEFAULT_RETRYABLE
+            ),
+        )
+    if filter_def.operator == "timeout":
+        return RetryPolicy(
+            max_attempts=1,
+            per_attempt_timeout_ms=_meta_number(meta, "timeout_ms", 25.0),
+        )
+    if filter_def.operator == "circuit_breaker":
+        return CircuitBreakerPolicy(
+            failure_threshold=_meta_number(
+                meta, "failure_threshold", 5, whole=True
+            ),
+            open_ms=_meta_number(meta, "reset_ms", 50.0, positive=False),
+        )
+    return None

@@ -20,8 +20,6 @@ from .filters import (
     wrap_circuit_breaker,
     wrap_congestion_control,
     wrap_rate_shaper,
-    wrap_retry,
-    wrap_timeout,
 )
 from .gateway import (
     EgressGateway,
@@ -67,9 +65,7 @@ __all__ = [
     "wrap_circuit_breaker",
     "wrap_congestion_control",
     "wrap_rate_shaper",
-    "wrap_retry",
     "wrap_retry_policy",
-    "wrap_timeout",
     "is_aborted",
     "make_abort",
     "make_request",

@@ -7,10 +7,19 @@ operation." Filters are declared in the DSL (``filter Retry { use
 operator retry; }``) and bound to the platform-specific operators
 implemented here. Each operator wraps the RPC call path:
 
-* ``timeout`` — abort the caller's wait after a deadline (the in-flight
-  work continues to consume resources, as in real systems);
-* ``retry`` — re-issue on retryable aborts (injected faults, timeouts),
-  up to a budget;
+* ``retry`` and ``timeout`` — lowered by
+  :func:`~repro.overload.budget.lower_filter` to a
+  :class:`~repro.overload.budget.RetryPolicy` and run by
+  :func:`wrap_retry_policy`, the one retry loop graph edges, fault runs
+  and sweeps use too. A timeout is a one-attempt policy: it aborts the
+  caller's wait (the in-flight work still consumes resources, as in
+  real systems). A retry re-issues on retryable aborts (injected
+  faults, timeouts) with a per-attempt timer, and a
+  ``deadline_budget_ms`` bounds the whole logical call and rides the
+  wire as the remaining budget (:class:`~repro.runtime.mrpc.AdnMrpcStack`
+  turns propagation on for it);
+* ``circuit_breaker`` — :func:`wrap_circuit_breaker` over
+  :class:`~repro.overload.budget.CircuitBreaker`;
 * ``rate_limit_shaper`` — pace issues to a target rate (leaky bucket);
 * ``congestion_control`` — an AIMD window on in-flight RPCs.
 
@@ -23,7 +32,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Generator, List, Optional, Sequence
 
 from ..dsl.ast_nodes import FilterDef
 from ..errors import RuntimeFault
@@ -32,16 +41,13 @@ from ..overload.budget import (
     CircuitBreaker,
     CircuitBreakerPolicy,
     RetryBudget,
+    RetryPolicy,
+    lower_filter,
 )
 from ..sim.engine import Simulator
 from .message import RpcOutcome
 
 CallFn = Callable[..., Generator]
-
-#: aborts considered transient (safe/useful to retry) by default.
-#: Overload rejects (Shed, QueueFull, ...) are deliberately absent:
-#: reflexively retrying an explicit shed is how retry storms start
-DEFAULT_RETRYABLE = ("Fault", "Timeout")
 
 #: outcomes a circuit breaker counts as downstream failure — silence
 #: and explicit overload rejects, but not application-level aborts
@@ -56,119 +62,6 @@ class _TimeoutSentinel:
 
 
 _TIMED_OUT = _TimeoutSentinel()
-
-
-def wrap_timeout(sim: Simulator, call: CallFn, timeout_ms: float) -> CallFn:
-    """Abort the caller's wait after ``timeout_ms``. The late response,
-    if it ever arrives, is discarded (its resource usage still counts —
-    timeouts do not refund work)."""
-    timeout_s = timeout_ms * 1e-3
-
-    def shaped(**fields) -> Generator:
-        issued_at = sim.now
-        in_flight = sim.process(call(**fields))
-        timer = sim.timeout(timeout_s, value=_TIMED_OUT)
-        winner = yield sim.any_of([in_flight, timer])
-        if isinstance(winner, _TimeoutSentinel):
-            return RpcOutcome(
-                request=dict(fields),
-                response={"status": "aborted:Timeout", "kind": "response"},
-                issued_at=issued_at,
-                completed_at=sim.now,
-                aborted_by="Timeout",
-            )
-        return winner
-
-    return shaped
-
-
-def wrap_retry(
-    sim: Simulator,
-    call: CallFn,
-    max_retries: int,
-    retry_on: Sequence[str] = DEFAULT_RETRYABLE,
-    backoff_ms: float = 0.0,
-    deadline_budget_ms: Optional[float] = None,
-) -> CallFn:
-    """Re-issue RPCs aborted by a retryable element, up to
-    ``max_retries`` additional attempts with optional fixed backoff.
-    With ``deadline_budget_ms`` the whole logical call (attempts and
-    backoffs) is bounded: once the budget is spent, the outcome is
-    returned as ``DeadlineExceeded`` instead of retrying further —
-    without it, a blackholed downstream means unbounded retrying
-    (lint ADN404 flags exactly this configuration)."""
-    retryable = frozenset(retry_on)
-
-    def shaped(**fields) -> Generator:
-        attempts = 0
-        deadline = (
-            sim.now + deadline_budget_ms * 1e-3
-            if deadline_budget_ms is not None
-            else None
-        )
-        while True:
-            outcome: RpcOutcome = yield sim.process(call(**fields))
-            outcome.notes["attempts"] = attempts + 1
-            if outcome.ok or attempts >= max_retries:
-                return outcome
-            if outcome.aborted_by not in retryable:
-                return outcome
-            if deadline is not None and (
-                sim.now + backoff_ms * 1e-3 >= deadline
-            ):
-                outcome.aborted_by = "DeadlineExceeded"
-                outcome.response = {
-                    "status": "aborted:DeadlineExceeded",
-                    "kind": "response",
-                }
-                return outcome
-            attempts += 1
-            if backoff_ms > 0:
-                yield sim.timeout(backoff_ms * 1e-3)
-
-    return shaped
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """A production-shaped retry budget (repro.faults): per-attempt
-    timeout, capped exponential backoff with deterministic jitter, and
-    an overall deadline budget per *logical* call.
-
-    The per-attempt timeout is what makes fault injection survivable: an
-    RPC blackholed by a crashed machine or a dropped frame never
-    completes on its own — the timeout converts that silence into a
-    retryable ``Timeout`` abort.
-    """
-
-    max_attempts: int = 4
-    per_attempt_timeout_ms: float = 30.0
-    base_backoff_ms: float = 1.0
-    backoff_multiplier: float = 2.0
-    max_backoff_ms: float = 50.0
-    #: fraction of the backoff randomized (0 = none, 1 = ±50%); drawn
-    #: from a policy-seeded RNG so runs replay exactly
-    jitter: float = 0.5
-    #: overall wall-clock budget for one logical call, all attempts and
-    #: backoffs included; None = unbounded
-    deadline_budget_ms: Optional[float] = None
-    retry_on: Tuple[str, ...] = DEFAULT_RETRYABLE
-    seed: int = 0
-
-    def backoff_s(self, attempt: int, rng: random.Random) -> float:
-        """Backoff after ``attempt`` (1-based) failed attempts.
-
-        The cap applies *after* jitter: the documented contract is that
-        no sleep ever exceeds ``max_backoff_ms`` (jitter used to push it
-        up to 25% past the cap).
-        """
-        raw = self.base_backoff_ms * (
-            self.backoff_multiplier ** (attempt - 1)
-        )
-        capped = min(raw, self.max_backoff_ms)
-        jittered = capped * (1.0 + self.jitter * (rng.random() - 0.5))
-        bounded = min(max(0.0, jittered), self.max_backoff_ms)
-        return bounded * 1e-3
 
 
 @dataclass
@@ -404,59 +297,24 @@ def wrap_congestion_control(
     return shaped
 
 
-class _CircuitBreaker:
-    """Trip open after ``failure_threshold`` consecutive failures;
-    half-open after ``reset_ms`` lets one probe through."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        failure_threshold: int = 5,
-        reset_ms: float = 50.0,
-    ):
-        self.sim = sim
-        self.failure_threshold = failure_threshold
-        self.reset_s = reset_ms * 1e-3
-        self.consecutive_failures = 0
-        self.opened_at: Optional[float] = None
-        self.short_circuited = 0
-
-    @property
-    def state(self) -> str:
-        if self.opened_at is None:
-            return "closed"
-        if self.sim.now - self.opened_at >= self.reset_s:
-            return "half-open"
-        return "open"
-
-    def allow(self) -> bool:
-        state = self.state
-        if state == "closed":
-            return True
-        if state == "half-open":
-            return True  # one probe; outcome decides
-        self.short_circuited += 1
-        return False
-
-    def record(self, ok: bool) -> None:
-        if ok:
-            self.consecutive_failures = 0
-            self.opened_at = None
-            return
-        self.consecutive_failures += 1
-        if self.consecutive_failures >= self.failure_threshold:
-            self.opened_at = self.sim.now
-
-
 def wrap_circuit_breaker(
     sim: Simulator,
     call: CallFn,
     failure_threshold: int = 5,
     reset_ms: float = 50.0,
 ) -> CallFn:
-    """Short-circuit calls while the downstream is failing; probe after
-    a cool-down. Exposes the breaker as ``shaped.breaker``."""
-    breaker = _CircuitBreaker(sim, failure_threshold, reset_ms)
+    """Short-circuit calls while the downstream is failing: a
+    :class:`~repro.overload.budget.CircuitBreaker` opens after
+    ``failure_threshold`` consecutive failures, and ``reset_ms`` later
+    admits one probe. Unlike a retry policy's breaker, every non-ok
+    outcome counts as a failure, and a short-circuited call is aborted
+    by ``CircuitBreaker``. Exposes the breaker as ``shaped.breaker``."""
+    breaker = CircuitBreaker(
+        sim,
+        CircuitBreakerPolicy(
+            failure_threshold=failure_threshold, open_ms=reset_ms
+        ),
+    )
 
     def shaped(**fields) -> Generator:
         if not breaker.allow():
@@ -480,46 +338,23 @@ def wrap_circuit_breaker(
 
 
 def apply_filter(sim: Simulator, call: CallFn, filter_def: FilterDef) -> CallFn:
-    """Wrap ``call`` with one declared filter."""
+    """Wrap ``call`` with one declared filter. A retry or timeout runs
+    its lowered policy through :func:`wrap_retry_policy`, stamping its
+    deadline on the call so the stack can carry it on the wire."""
+    policy = lower_filter(filter_def)
+    if isinstance(policy, RetryPolicy):
+        return wrap_retry_policy(sim, call, policy, propagate_deadline=True)
+    if isinstance(policy, CircuitBreakerPolicy):
+        return wrap_circuit_breaker(
+            sim, call, policy.failure_threshold, policy.open_ms
+        )
     meta = filter_def.meta
     operator = filter_def.operator
-    if operator == "timeout":
-        return wrap_timeout(sim, call, float(meta.get("timeout_ms", 25.0)))
-    if operator == "retry":
-        shaped = call
-        timeout_ms = meta.get("timeout_ms")
-        if timeout_ms is not None:
-            # per-attempt deadline: the timeout sits inside the retry
-            shaped = wrap_timeout(sim, shaped, float(timeout_ms))
-        retry_on = meta.get("retry_on")
-        retryable = (
-            tuple(part.strip() for part in str(retry_on).split(","))
-            if retry_on
-            else DEFAULT_RETRYABLE
-        )
-        deadline_budget = meta.get("deadline_budget_ms")
-        return wrap_retry(
-            sim,
-            shaped,
-            max_retries=int(meta.get("max_retries", 3)),
-            retry_on=retryable,
-            backoff_ms=float(meta.get("backoff_ms", 0.0)),
-            deadline_budget_ms=(
-                float(deadline_budget) if deadline_budget is not None else None
-            ),
-        )
     if operator == "rate_limit_shaper":
         return wrap_rate_shaper(sim, call, float(meta.get("rate", 1000.0)))
     if operator == "congestion_control":
         return wrap_congestion_control(
             sim, call, float(meta.get("window", 4.0))
-        )
-    if operator == "circuit_breaker":
-        return wrap_circuit_breaker(
-            sim,
-            call,
-            failure_threshold=int(meta.get("failure_threshold", 5)),
-            reset_ms=float(meta.get("reset_ms", 50.0)),
         )
     raise RuntimeFault(f"no runtime for filter operator {operator!r}")
 

@@ -49,6 +49,7 @@ from ..overload.budget import (
     CircuitBreakerPolicy,
     RetryBudget,
     RetryBudgetConfig,
+    lower_filter,
 )
 from ..platforms import Platform
 from ..sim.cluster import Cluster
@@ -246,13 +247,15 @@ class AdnMrpcStack:
         )
         #: overload-control configuration (repro.overload): bounded
         #: queues + admission control on every processor, and deadline
-        #: propagation on the wire whenever the retry policy carries a
-        #: deadline budget (the budget IS the deadline being propagated).
+        #: propagation on the wire whenever a retry policy on the path,
+        #: ``retry_policy`` or a declared filter's, carries a deadline
+        #: budget (the budget IS the deadline being propagated).
         self._queue_limit = queue_limit
         self._admission_config = admission
-        self._propagate_deadline = propagate_deadline or (
-            retry_policy is not None
-            and getattr(retry_policy, "deadline_budget_ms", None) is not None
+        policies = [retry_policy, *map(lower_filter, filters or ())]
+        self._propagate_deadline = propagate_deadline or any(
+            getattr(policy, "deadline_budget_ms", None) is not None
+            for policy in policies
         )
         #: mesh-proven application reads at the destination (None:
         #: assume every schema field) — narrows the request hop header
@@ -481,11 +484,7 @@ class AdnMrpcStack:
     def _l2_transmit(self, forward: bool, payload: bytes) -> Optional[bytes]:
         """Push one encoded message over the virtual L2 to the other
         side; returns the bytes as delivered there, or None when the
-        frame died en route (partition, loss, or a crashed far host)."""
-        if not self.cluster.machine_up(
-            self.server_machine if forward else self.client_machine
-        ):
-            return None  # blackholed: nothing is listening
+        frame died en route (partition or loss)."""
         src, dst = self._l2_names if forward else self._l2_names[::-1]
         frame = self.cluster.l2.send(src, dst, payload)
         return None if frame is None else frame.payload
@@ -535,6 +534,10 @@ class AdnMrpcStack:
                     if deadline_at is not None
                     else -1.0
                 )
+        far = self.server_machine if forward else self.client_machine
+        if not self.cluster.machine_up(far):
+            # blackholed: nothing is listening on the far side
+            yield from self._lost(f"crash:{far}")
         delivered = self._l2_transmit(forward, codec.encode(outbound))
         if delivered is None:
             yield from self._lost("wire:forward" if forward else "wire:return")

@@ -275,7 +275,12 @@ class Simulator:
             callback()
 
     def run_until_complete(self, process: Process, limit: float = 1e6) -> object:
-        """Run until ``process`` finishes; returns its value."""
+        """Run until nothing is left to run or the clock reaches
+        ``limit``, then return ``process``'s value. Events scheduled
+        after ``process`` finishes (background processes, leftover
+        timers) still run, up to ``limit``; raises
+        :class:`SimulationError` when ``process`` has not finished by
+        then."""
         self.run(until=limit)
         if not process.triggered:
             raise SimulationError(

@@ -66,9 +66,13 @@ class ClosedLoopClient:
         self.metrics = RunMetrics()
         self._remaining = total_rpcs + warmup_rpcs
         self._started_at: Optional[float] = None
+        self._last_completed_at = 0.0
 
     def run(self, limit_s: float = 300.0) -> RunMetrics:
-        """Run to completion; returns the metrics."""
+        """Run to completion; returns the metrics. ``elapsed_s`` runs
+        from the first measured issue to the last completion, whatever
+        the simulator still had scheduled after it (a retry policy's
+        spent attempt timers, background processes)."""
         workers = [
             self.sim.process(self._worker()) for _ in range(self.concurrency)
         ]
@@ -77,7 +81,7 @@ class ClosedLoopClient:
             self.sim.process(self._await(done)), limit=limit_s
         )
         if self._started_at is not None:
-            self.metrics.elapsed_s = self.sim.now - self._started_at
+            self.metrics.elapsed_s = self._last_completed_at - self._started_at
         return self.metrics
 
     def _await(self, event) -> Generator:
@@ -99,6 +103,7 @@ class ClosedLoopClient:
             # network answered it); it is counted in the rate and also
             # tallied as aborted
             self.metrics.completed += 1
+            self._last_completed_at = self.sim.now
             self.metrics.latency.record(outcome.latency_s)
             if not outcome.ok:
                 self.metrics.aborted += 1

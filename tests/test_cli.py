@@ -39,6 +39,32 @@ def test_missing_input_is_an_error_not_a_traceback(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "lint", "compile", "plan"])
+@pytest.mark.parametrize("operator, meta, where", [
+    ("retry", "max_retries: 'many';", "6:1"),
+    ("retry", "backoff_ms: 'slow';", "6:1"),
+    ("timeout", "timeout_ms: 0.0;", "6:1"),
+    # the DSL has no negative literals: the parser stops at the sign
+    ("retry", "timeout_ms: -1.0;", "7:24"),
+    ("circuit_breaker", "failure_threshold: 0;", "6:1"),
+])
+def test_bad_filter_meta_is_located_not_a_traceback(
+    command, operator, meta, where, tmp_path, capsys
+):
+    path = tmp_path / "bad.adn"
+    path.write_text(
+        ELEMENT_SRC
+        + f"filter Bad {{\n    meta {{ {meta} }}\n"
+        f"    use operator {operator};\n}}\n"
+        "app Shop { service A; service B; chain A -> B { Stamp, Bad } }\n"
+    )
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    output = captured.out + captured.err
+    assert f"{path}:{where}: error" in output
+    assert "Traceback" not in output
+
+
 class TestCheck:
     def test_valid_file(self, dsl_file, capsys):
         assert main(["check", dsl_file]) == 0

@@ -15,8 +15,6 @@ from repro.runtime import (
     apply_filters,
     wrap_congestion_control,
     wrap_rate_shaper,
-    wrap_retry,
-    wrap_timeout,
 )
 from repro.runtime.message import RpcOutcome, reset_rpc_ids
 from repro.sim import ClosedLoopClient, Simulator, two_machine_cluster
@@ -51,16 +49,26 @@ def run_one(sim, call, **fields):
     return sim.run_until_complete(sim.process(call(**fields)))
 
 
+def timeout_filter(timeout_ms):
+    return FilterDef(
+        name="Timeout", operator="timeout", meta={"timeout_ms": timeout_ms}
+    )
+
+
+def retry_filter(**meta):
+    return FilterDef(name="Retry", operator="retry", meta=meta)
+
+
 class TestTimeout:
     def test_fast_call_unaffected(self):
         sim = Simulator()
-        shaped = wrap_timeout(sim, slow_call(sim, 1e-3), timeout_ms=10.0)
+        shaped = apply_filter(sim, slow_call(sim, 1e-3), timeout_filter(10.0))
         outcome = run_one(sim, shaped)
         assert outcome.ok
 
     def test_slow_call_aborted(self):
         sim = Simulator()
-        shaped = wrap_timeout(sim, slow_call(sim, 0.1), timeout_ms=10.0)
+        shaped = apply_filter(sim, slow_call(sim, 0.1), timeout_filter(10.0))
         outcome = run_one(sim, shaped)
         assert outcome.aborted_by == "Timeout"
         assert outcome.latency_s == pytest.approx(10e-3)
@@ -68,7 +76,7 @@ class TestTimeout:
     def test_late_work_still_happens(self):
         sim = Simulator()
         call = slow_call(sim, 0.1)
-        shaped = wrap_timeout(sim, call, timeout_ms=10.0)
+        shaped = apply_filter(sim, call, timeout_filter(10.0))
         run_one(sim, shaped)
         sim.run()  # let the abandoned attempt finish
         assert call.state["count"] == 1
@@ -78,7 +86,7 @@ class TestRetry:
     def test_retries_transient_faults(self):
         sim = Simulator()
         call = slow_call(sim, 1e-4, abort_first=2)
-        shaped = wrap_retry(sim, call, max_retries=3)
+        shaped = apply_filter(sim, call, retry_filter(max_retries=3))
         outcome = run_one(sim, shaped)
         assert outcome.ok
         assert outcome.notes["attempts"] == 3
@@ -87,7 +95,7 @@ class TestRetry:
     def test_budget_exhausted(self):
         sim = Simulator()
         call = slow_call(sim, 1e-4, abort_first=10)
-        shaped = wrap_retry(sim, call, max_retries=2)
+        shaped = apply_filter(sim, call, retry_filter(max_retries=2))
         outcome = run_one(sim, shaped)
         assert outcome.aborted_by == "Fault"
         assert call.state["count"] == 3  # original + 2 retries
@@ -105,7 +113,7 @@ class TestRetry:
                 aborted_by="Acl",
             )
 
-        shaped = wrap_retry(sim, denied, max_retries=5)
+        shaped = apply_filter(sim, denied, retry_filter(max_retries=5))
         outcome = run_one(sim, shaped)
         assert outcome.aborted_by == "Acl"
         assert outcome.notes["attempts"] == 1
@@ -113,10 +121,13 @@ class TestRetry:
     def test_backoff_spaces_attempts(self):
         sim = Simulator()
         call = slow_call(sim, 1e-5, abort_first=2)
-        shaped = wrap_retry(sim, call, max_retries=3, backoff_ms=5.0)
+        shaped = apply_filter(
+            sim, call, retry_filter(max_retries=3, backoff_ms=5.0)
+        )
         outcome = run_one(sim, shaped)
         assert outcome.ok
         assert sim.now >= 10e-3  # two backoffs
+        assert outcome.completed_at >= 10e-3
 
     def test_retry_wraps_timeout(self):
         """A retry filter with timeout_ms retries timed-out attempts."""
@@ -197,11 +208,14 @@ class TestCongestionControl:
 
 
 class TestOnAdnStack:
-    def build_stack(self, sim, cluster, filters=None, order=None):
+    def build_stack(
+        self, sim, cluster, filters=None, order=None, elements=("Fault",),
+        **options,
+    ):
         registry = FunctionRegistry()
         program = load_stdlib(schema=SCHEMA)
         compiler = AdnCompiler(registry=registry)
-        decl = ChainDecl(src="A", dst="B", elements=("Fault",))
+        decl = ChainDecl(src="A", dst="B", elements=elements)
         chain = compiler.compile_chain(decl, program, SCHEMA)
         return AdnMrpcStack(
             sim,
@@ -211,7 +225,49 @@ class TestOnAdnStack:
             registry,
             filters=filters,
             filter_order=order,
+            **options,
         )
+
+    FIELDS = {"payload": b"x", "username": "alice", "obj_id": 1}
+
+    def test_budgeted_retry_puts_deadline_on_the_wire(self):
+        """The server rebuilds the caller's deadline from the hop
+        header alone, so it sees one only if the budget crossed."""
+        reset_rpc_ids()
+        sim = Simulator()
+        cluster = two_machine_cluster(sim)
+        seen = []
+
+        def handler(request, deadline_at):
+            seen.append(deadline_at)
+            yield sim.timeout(0)
+            return {}
+
+        retry = retry_filter(max_retries=2, deadline_budget_ms=20.0)
+        stack = self.build_stack(
+            sim, cluster, filters=[retry], order=["Retry"],
+            elements=("Logging",), server_handler=handler,
+        )
+        outcome = run_one(sim, stack.call, **self.FIELDS)
+        assert outcome.ok
+        assert seen == [pytest.approx(20e-3)]
+
+    def test_blackholed_attempt_ends_at_the_budget(self):
+        reset_rpc_ids()
+        sim = Simulator()
+        cluster = two_machine_cluster(sim)
+        retry = retry_filter(max_retries=3, deadline_budget_ms=20.0)
+        stack = self.build_stack(
+            sim, cluster, filters=[retry], order=["Retry"],
+            elements=("Logging",),
+        )
+        cluster.machine("server-host").crash()
+        process = sim.process(stack.call(**self.FIELDS))
+        outcome = sim.run_until_complete(process, limit=1.0)
+        assert outcome.aborted_by == "DeadlineExceeded"
+        assert outcome.completed_at == pytest.approx(20e-3)
+        # the attempt died with the crashed host, not on the wire
+        assert stack.lost_by == {"crash:server-host": 1}
 
     def test_retry_masks_injected_faults(self):
         reset_rpc_ids()
@@ -312,6 +368,32 @@ class TestCircuitBreaker:
 
         outcome = sim.run_until_complete(sim.process(wait_and_probe()))
         assert outcome.ok
+        assert shaped.breaker.state == "closed"
+
+    def test_half_open_admits_one_probe_among_concurrent_calls(self):
+        from repro.runtime import wrap_circuit_breaker
+
+        sim = Simulator()
+        call = slow_call(sim, 1e-3, abort_first=3)
+        shaped = wrap_circuit_breaker(
+            sim, call, failure_threshold=3, reset_ms=1.0
+        )
+        for _ in range(3):
+            run_one(sim, shaped)
+        assert shaped.breaker.state == "open"
+
+        def burst():
+            yield sim.timeout(2e-3)  # past the reset window
+            calls = [sim.process(shaped()) for _ in range(5)]
+            for each in calls:
+                yield each
+            return [each.value for each in calls]
+
+        outcomes = sim.run_until_complete(sim.process(burst()))
+        aborted = [outcome.aborted_by for outcome in outcomes]
+        assert aborted.count("CircuitBreaker") == 4
+        assert aborted.count("") == 1
+        assert call.state["count"] == 4  # three trips and one probe
         assert shaped.breaker.state == "closed"
 
     def test_from_filter_def(self):

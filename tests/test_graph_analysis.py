@@ -480,6 +480,36 @@ app storm {
         assert len(findings) == 1
         assert "16x" in findings[0].message
 
+    def test_adn601_counts_the_default_retries(self):
+        """A retry filter without ``max_retries`` makes four attempts at
+        run time, so three chained edges amplify 64x."""
+        from repro.lint import LintOptions, lint_source
+
+        result = lint_source(
+            """
+filter Lazy {
+    meta { deadline_budget_ms: 50.0; }
+    use operator retry;
+}
+
+app storm {
+    service a;
+    service b;
+    service c;
+    service d;
+    chain a -> b { Lazy }
+    chain b -> c { Lazy }
+    chain c -> d { Lazy }
+}
+""",
+            options=LintOptions(schema=MESH_SCHEMA),
+        )
+        findings = [
+            d for d in result.diagnostics if d.code == "ADN601"
+        ]
+        assert len(findings) == 1
+        assert "b -> c is 16x" in findings[0].message
+
     def test_single_chain_apps_are_exempt(self):
         from repro.lint import LintOptions, lint_source
 

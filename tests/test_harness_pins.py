@@ -93,7 +93,7 @@ RECOVERY_PIN = {'aborted': 0,
  'attempts': 612,
  'completed': 600,
  'duplicates': 0,
- 'elapsed_s': 2.0049999999999795,
+ 'elapsed_s': 0.031242777730702186,
  'issued': 600,
  'latency': 'f0da5da92ecc858582092981',
  'logical_calls': 600,
